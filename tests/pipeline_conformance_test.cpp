@@ -262,6 +262,7 @@ class ScriptedLink final : public repl::ReplicationLink {
  public:
   bool send(repl::FrameKind kind, std::uint64_t epoch, const void* payload,
             std::size_t len) override {
+    if (refuse_sends) return false;
     const auto* p = static_cast<const std::uint8_t*>(payload);
     sent.push_back(repl::Frame{kind, epoch, std::vector<std::uint8_t>(p, p + len)});
     return true;
@@ -296,6 +297,7 @@ class ScriptedLink final : public repl::ReplicationLink {
   std::deque<repl::Frame> inbound;
   std::vector<repl::Frame> sent;
   std::size_t recvs = 0;
+  bool refuse_sends = false;  // a broken carrier: every send fails
 
  private:
   repl::LinkError error_ = repl::LinkError::kNone;
@@ -631,6 +633,79 @@ TEST(PipelineWindow, GroupBuffersUntilFullAndSyncFlushes) {
   // A single-transaction group ships as the classic kRedoBatch frame.
   EXPECT_EQ(link.count(repl::FrameKind::kRedoBatch), 1u)
       << "sync() must flush the partial tail group as a classic batch";
+}
+
+// ---- planned-handoff drain ---------------------------------------------------
+
+TEST(DrainPeers, NeedsEveryLivePeerNotJustAQuorum) {
+  // K=1 and peer 0 acks every commit, so each commit is quorum-durable. The
+  // drain must still wait on peer 1 until it covers the watermark too.
+  using Pipe = repl::RedoPipeline;
+  MemSource source(4096);
+  ScriptedLink p0, p1;
+  Pipe pipe(source, &p0);
+  ASSERT_EQ(pipe.add_peer(&p1), 1u);
+  pipe.set_two_safe(true);
+  for (std::uint64_t seq = 1; seq <= 3; ++seq) {
+    p0.push_ack(seq);
+    commit_one(pipe, source, seq);
+    EXPECT_EQ(pipe.last_commit_outcome(), Pipe::CommitOutcome::kQuorumDurable);
+  }
+  ASSERT_EQ(pipe.peer_acked_seq(1), 0u);
+  p1.push_ack(3);  // peer 1 answers only when the drain asks it
+  EXPECT_TRUE(pipe.drain_peers());
+  EXPECT_EQ(pipe.peer_acked_seq(1), 3u) << "the drain stopped at quorum coverage";
+
+  // Coverage has to come from a live peer: once peer 0 (the whole quorum) is
+  // down and peer 1 stays silent, the watermark is quorum-covered and the
+  // drain still fails.
+  MemSource source2(4096);
+  ScriptedLink q0, q1;
+  Pipe pipe2(source2, &q0);
+  ASSERT_EQ(pipe2.add_peer(&q1), 1u);
+  pipe2.set_two_safe(true);
+  q0.push_ack(1);
+  commit_one(pipe2, source2, 1);
+  q0.refuse_sends = true;
+  EXPECT_TRUE(pipe2.send_heartbeat());
+  ASSERT_FALSE(pipe2.peer_alive(0));
+  ASSERT_EQ(pipe2.quorum_acked_seq(), 1u);
+  EXPECT_FALSE(pipe2.drain_peers()) << "quorum coverage alone must not pass the drain";
+  EXPECT_FALSE(pipe2.peer_alive(1));
+}
+
+TEST(DrainPeers, SilentLaggardIsMarkedDownAfterTheProbeBudget) {
+  MemSource source(4096);
+  ScriptedLink link;  // never acks
+  repl::RedoPipeline pipe(source, &link);
+  for (std::uint64_t seq = 1; seq <= 3; ++seq) commit_one(pipe, source, seq);
+  link.sent.clear();
+
+  EXPECT_FALSE(pipe.drain_peers());
+  EXPECT_FALSE(pipe.peer_alive(0));
+  // One opening probe, then one per silent receive inside the 20-probe budget.
+  EXPECT_EQ(link.count(repl::FrameKind::kHeartbeat), 21u);
+  for (const repl::Frame& frame : link.sent) {
+    std::uint64_t watermark = 0;
+    ASSERT_EQ(frame.payload.size(), 8u);
+    std::memcpy(&watermark, frame.payload.data(), 8);
+    EXPECT_EQ(watermark, 3u) << "probes must carry the full shipped watermark";
+  }
+}
+
+TEST(DrainPeers, EpochFenceReplyFailsTheDrainAndFences) {
+  MemSource source(4096);
+  ScriptedLink link;
+  repl::RedoPipeline pipe(source, &link);
+  for (std::uint64_t seq = 1; seq <= 2; ++seq) commit_one(pipe, source, seq);
+  const std::uint64_t newer = 5;
+  repl::Frame fence{repl::FrameKind::kEpochFence, newer, std::vector<std::uint8_t>(8)};
+  std::memcpy(fence.payload.data(), &newer, 8);
+  link.inbound.push_back(std::move(fence));
+
+  EXPECT_FALSE(pipe.drain_peers());
+  EXPECT_TRUE(pipe.fenced());
+  EXPECT_EQ(pipe.fenced_by_epoch(), newer);
 }
 
 TEST(PipelineRegressionDeathTest, StageRejectsChunksBeyondU32WireFormat) {
