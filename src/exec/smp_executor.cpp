@@ -80,16 +80,12 @@ std::uint64_t SmpExecutor::StagingQueue::full_waits() const {
 // ---------------------------------------------------------------------------
 
 SmpExecutor::SmpExecutor(const SmpConfig& config, repl::ReplicationLink* link)
-    : config_(config), stride_(config.partition_db_size) {
+    : config_(config),
+      stride_(config.partition_db_size),
+      queue_(config.queue_capacity == 0 ? 1 : config.queue_capacity),
+      pipeline_(*this, link) {
   VREP_CHECK(config_.workers >= 1);
-  VREP_CHECK(config_.sequencer_shards >= 1);
-  // Per-group replication is wired through group_pipeline(); the
-  // constructor's single link only makes sense with a single group.
-  VREP_CHECK(link == nullptr || config_.sequencer_shards == 1);
   if (config_.partitions == 0) config_.partitions = config_.workers * 2;
-  VREP_CHECK(config_.partitions % config_.sequencer_shards == 0 &&
-             "shard groups must divide the partition count");
-  partitions_per_group_ = config_.partitions / config_.sequencer_shards;
   partitions_.reserve(config_.partitions);
   for (unsigned p = 0; p < config_.partitions; ++p) {
     auto part = std::make_unique<Partition>();
@@ -102,33 +98,20 @@ SmpExecutor::SmpExecutor(const SmpConfig& config, repl::ReplicationLink* link)
     part->workload = wl::make_workload(config_.workload, stride_);
     part->workload->initialize(*part->store);
     part->store->flush_initial_state();
-    part->base = static_cast<std::uint64_t>(p % partitions_per_group_) * stride_;
+    part->base = static_cast<std::uint64_t>(p) * stride_;
     // Capture from here on: the initial image ships via sync_backup(), only
     // transaction writes become redo.
     part->bus.set_capture(part->store->db(), stride_, part.get());
     partitions_.push_back(std::move(part));
   }
-  groups_.reserve(config_.sequencer_shards);
-  for (unsigned g = 0; g < config_.sequencer_shards; ++g) {
-    auto group = std::make_unique<ShardGroup>();
-    group->owner = this;
-    group->first_partition = static_cast<std::size_t>(g) * partitions_per_group_;
-    group->partition_count = partitions_per_group_;
-    group->queue = std::make_unique<StagingQueue>(
-        config_.queue_capacity == 0 ? 1 : config_.queue_capacity);
-    group->pipeline =
-        std::make_unique<repl::RedoPipeline>(*group, g == 0 ? link : nullptr);
-    group->pipeline->set_two_safe(config_.two_safe);
-    group->pipeline->set_quorum(config_.quorum);
-    group->pipeline->set_commit_window(config_.commit_window);
-    group->pipeline->set_group_size(config_.group_size);
-    groups_.push_back(std::move(group));
-  }
+  pipeline_.set_two_safe(config_.two_safe);
+  pipeline_.set_quorum(config_.quorum);
+  pipeline_.set_commit_window(config_.commit_window);
+  pipeline_.set_group_size(config_.group_size);
   // Pre-size the record pool to the queue depth plus one in-flight record
   // per worker, so the steady state never allocates.
   std::lock_guard<std::mutex> lock(free_mu_);
-  for (std::size_t i = 0;
-       i < config_.queue_capacity * groups_.size() + config_.workers + 1; ++i) {
+  for (std::size_t i = 0; i < config_.queue_capacity + config_.workers + 1; ++i) {
     records_.push_back(std::make_unique<TxnRecord>());
     free_.push_back(records_.back().get());
   }
@@ -136,48 +119,14 @@ SmpExecutor::SmpExecutor(const SmpConfig& config, repl::ReplicationLink* link)
 
 SmpExecutor::~SmpExecutor() = default;
 
-const std::uint8_t* SmpExecutor::ShardGroup::db() const {
+const std::uint8_t* SmpExecutor::db() const {
   // Gathering partitions into one contiguous image is only coherent while no
   // worker can write: before run() (seeding backups) or after it returned
   // (final sync, rejoins, checkpoints).
-  VREP_CHECK(owner->quiesced_.load(std::memory_order_acquire));
-  image.resize(db_size());
-  for (std::size_t i = 0; i < partition_count; ++i) {
-    const auto& part = owner->partitions_[first_partition + i];
-    std::memcpy(image.data() + part->base, part->store->db(), owner->stride_);
-  }
-  return image.data();
-}
-
-bool SmpExecutor::sync_backup() {
-  VREP_CHECK(groups_.size() == 1);
-  return groups_.front()->pipeline->sync_backup();
-}
-
-repl::RedoPipeline& SmpExecutor::pipeline() {
-  VREP_CHECK(groups_.size() == 1);
-  return *groups_.front()->pipeline;
-}
-
-repl::RedoPipeline& SmpExecutor::group_pipeline(unsigned group) {
-  return *groups_.at(group)->pipeline;
-}
-
-std::uint64_t SmpExecutor::sequenced() const {
-  std::uint64_t total = 0;
-  for (const auto& g : groups_) total += g->committed.load(std::memory_order_acquire);
-  return total;
-}
-
-std::uint64_t SmpExecutor::group_sequenced(unsigned group) const {
-  return groups_.at(group)->committed.load(std::memory_order_acquire);
-}
-
-const std::uint8_t* SmpExecutor::image() const {
   VREP_CHECK(quiesced_.load(std::memory_order_acquire));
-  image_.resize(image_size());
-  for (std::size_t p = 0; p < partitions_.size(); ++p) {
-    std::memcpy(image_.data() + p * stride_, partitions_[p]->store->db(), stride_);
+  image_.resize(db_size());
+  for (const auto& part : partitions_) {
+    std::memcpy(image_.data() + part->base, part->store->db(), stride_);
   }
   return image_.data();
 }
@@ -208,41 +157,39 @@ void SmpExecutor::worker_main(unsigned index) {
     const std::size_t pi = config_.route ? config_.route(draw, nparts) % nparts
                                          : draw % nparts;
     Partition& part = *partitions_[pi];
-    ShardGroup& group = *groups_[pi / partitions_per_group_];
     TxnRecord* rec = acquire_record();
     rec->clear();
     core::LatchGuard guard(part.latch);
     part.current = rec;
     part.workload->run_txn(*part.store, rng);
     part.current = nullptr;
-    // Enqueue before releasing the latch: the group's queue order is then a
+    // Enqueue before releasing the latch: the global queue order is then a
     // linearization of this partition's commit order, so the backup applies
-    // overlapping writes to each record in the order they committed. push()
-    // may block on a full queue — holding the latch while blocked is safe
-    // (the sequencers drain the queues and never take latches).
-    group.queue->push(rec);
+    // overlapping writes in the order they committed. push() may block on a
+    // full queue — holding the latch while blocked is safe (the sequencer
+    // drains the queue and never takes latches).
+    queue_.push(rec);
   }
 }
 
-void SmpExecutor::sequencer_main(ShardGroup& group) {
-  // The lone writer into this group's pipeline: replays each record's
-  // captured spans as staged redo and commits it under the group's next
-  // sequence. 2-safe window stalls block here; the bounded queue relays the
-  // backpressure to the workers.
-  repl::RedoPipeline& pipeline = *group.pipeline;
-  while (TxnRecord* rec = group.queue->pop()) {
-    pipeline.begin();
+void SmpExecutor::sequencer_main() {
+  // The lone writer into the pipeline: replays each record's captured spans
+  // as staged redo and commits it under the next global sequence. 2-safe
+  // window stalls block here; the bounded queue relays the backpressure to
+  // the workers.
+  while (TxnRecord* rec = queue_.pop()) {
+    pipeline_.begin();
     const std::uint8_t* p = rec->bytes.data();
     for (const auto& [off, len] : rec->spans) {
-      pipeline.stage(off, p, len);
+      pipeline_.stage(off, p, len);
       p += len;
     }
-    const std::uint64_t seq = group.committed.load(std::memory_order_relaxed) + 1;
+    const std::uint64_t seq = committed_.load(std::memory_order_relaxed) + 1;
     // Publish before commit_async: the pipeline reads Source::committed_seq
     // on its commit path (shipped watermark), expecting the local commit to
     // precede it — same order as WirePrimary.
-    group.committed.store(seq, std::memory_order_release);
-    pipeline.commit_async(seq);
+    committed_.store(seq, std::memory_order_release);
+    pipeline_.commit_async(seq);
     release_record(rec);
   }
 }
@@ -252,22 +199,18 @@ SmpExecutor::Result SmpExecutor::run() {
   ran_ = true;
   quiesced_.store(false, std::memory_order_release);
   const auto t0 = std::chrono::steady_clock::now();
-  std::vector<std::thread> sequencers;
-  sequencers.reserve(groups_.size());
-  for (auto& group : groups_) {
-    sequencers.emplace_back([this, g = group.get()] { sequencer_main(*g); });
-  }
+  std::thread sequencer([this] { sequencer_main(); });
   std::vector<std::thread> workers;
   workers.reserve(config_.workers);
   for (unsigned w = 0; w < config_.workers; ++w) {
     workers.emplace_back([this, w] { worker_main(w); });
   }
   for (auto& t : workers) t.join();
-  for (auto& group : groups_) group->queue->close();
-  for (auto& t : sequencers) t.join();
+  queue_.close();
+  sequencer.join();
   // Resolve everything still in flight (ship a partial group, wait out the
   // 2-safe window) so `committed` below is fully replicated.
-  for (auto& group : groups_) group->pipeline->sync();
+  pipeline_.sync();
   const auto t1 = std::chrono::steady_clock::now();
   quiesced_.store(true, std::memory_order_release);
 
@@ -276,7 +219,7 @@ SmpExecutor::Result SmpExecutor::run() {
   r.seconds = std::chrono::duration<double>(t1 - t0).count();
   r.tps = r.seconds > 0 ? static_cast<double>(r.committed) / r.seconds : 0;
   for (const auto& part : partitions_) r.latch_contended += part->latch.contended();
-  for (const auto& group : groups_) r.queue_full_waits += group->queue->full_waits();
+  r.queue_full_waits = queue_.full_waits();
   metrics::counter("exec.smp.txns_committed").add(r.committed);
   metrics::counter("exec.smp.latch_contended").add(r.latch_contended);
   metrics::counter("exec.smp.queue_full_waits").add(r.queue_full_waits);

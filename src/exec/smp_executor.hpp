@@ -23,20 +23,12 @@
 // commit order and the backup replays writes to each record in commit
 // order.
 //
-// A sequencer is the ONLY thread that touches its RedoPipeline and link
-// (each pipeline stays single-writer; no protocol changes). Group commit
-// and the bounded in-flight ack window (PR 5) are the natural backpressure:
-// a 2-safe window stall blocks the sequencer, the bounded queue then blocks
-// the workers.
-//
-// Sharding (sequencer_shards > 1): the partitions split into contiguous
-// SHARD GROUPS, one sequencer thread + one RedoPipeline + one staging queue
-// per group — the executor-side mirror of shard::ShardMap's partitioned
-// multi-primary. Redo offsets and the replicated image are group-relative
-// (each group is its own store region with its own sequence numbering), so
-// one group's commit stream never orders against another's. The default
-// (1) reproduces the single-sequencer executor exactly: same RNG streams,
-// same partition picks, same queue order, same global sequence.
+// The sequencer is the ONLY thread that touches the RedoPipeline and link
+// (the pipeline stays single-writer; no protocol changes). Group commit and
+// the bounded in-flight ack window are the natural backpressure: a 2-safe
+// window stall blocks the sequencer, the bounded queue then blocks the
+// workers. Partitioned multi-primary sequencing is the shard layer's job
+// (shard/sharded_cluster.hpp).
 //
 // Threading contract (what the TSan preset verifies):
 //   * a partition's store/workload/bus/current-record pointer are touched
@@ -90,13 +82,9 @@ struct SmpConfig {
   unsigned commit_window = 1;
   unsigned group_size = 1;
   // Staged-but-unsequenced transactions before workers block (backpressure
-  // relayed from the sequencer / the 2-safe ack window). Per shard group.
+  // relayed from the sequencer / the 2-safe ack window).
   std::size_t queue_capacity = 256;
   std::uint64_t seed = 1;
-  // Shard groups: contiguous partition ranges, one sequencer + pipeline
-  // each. Must divide the partition count. >1 requires a null link (per-
-  // group replication attaches per-group links via group_pipeline()).
-  unsigned sequencer_shards = 1;
   // Partition routing hook: maps the worker's per-txn draw to a partition
   // index (result is taken mod `partitions`). Null keeps the historical
   // `draw % partitions` placement byte-for-byte — the draw itself is the
@@ -106,11 +94,10 @@ struct SmpConfig {
   std::function<std::size_t(std::uint32_t draw, std::size_t partitions)> route;
 };
 
-class SmpExecutor final {
+class SmpExecutor final : private repl::RedoPipeline::Source {
  public:
   // `link` may be null (no replication: the pipeline sequences into history
-  // only) and is only accepted with a single shard group. The executor
-  // seeds every partition's workload at construction.
+  // only). The executor seeds every partition's workload at construction.
   SmpExecutor(const SmpConfig& config, repl::ReplicationLink* link);
   ~SmpExecutor();
   SmpExecutor(const SmpExecutor&) = delete;
@@ -126,8 +113,7 @@ class SmpExecutor final {
 
   // Ship the current image + sequence to the attached backup (call before
   // run() to seed it; requires a quiesced executor, like every image read).
-  // Single-group only, like the constructor's link.
-  bool sync_backup();
+  bool sync_backup() { return pipeline_.sync_backup(); }
 
   // Run workers x txns_per_worker transactions, drain the sequencer, then
   // pipeline.sync() so every commit is resolved (2-safe: quorum-covered).
@@ -138,24 +124,17 @@ class SmpExecutor final {
   // == consistent). Only valid while quiesced.
   std::string check_consistency() const;
 
-  // Gathered contiguous image across every partition (what a whole-system
-  // backup replicates; with shard groups, the concatenation of the group
-  // images). Only valid while quiesced.
-  const std::uint8_t* image() const;
-  std::size_t image_size() const { return stride_ * partitions_.size(); }
+  // Gathered contiguous image (what the backup replicates). Only valid
+  // while quiesced.
+  const std::uint8_t* image() const { return db(); }
+  std::size_t image_size() const { return db_size(); }
 
-  // Transactions sequenced across every shard group.
-  std::uint64_t sequenced() const;
+  std::uint64_t sequenced() const { return committed_.load(std::memory_order_acquire); }
   unsigned partition_count() const { return static_cast<unsigned>(partitions_.size()); }
-  unsigned shard_group_count() const { return static_cast<unsigned>(groups_.size()); }
-  // The group's own sequence counter (its commit stream is independent).
-  std::uint64_t group_sequenced(unsigned group) const;
 
   // Protocol engine — knobs and stats for tests/benches. Touch only while
-  // quiesced (the sequencer owns it during run()). pipeline() is the
-  // single-group spelling; group_pipeline(g) addresses a shard group.
-  repl::RedoPipeline& pipeline();
-  repl::RedoPipeline& group_pipeline(unsigned group);
+  // quiesced (the sequencer owns it during run()).
+  repl::RedoPipeline& pipeline() { return pipeline_; }
 
  private:
   // One committed transaction's captured redo: concatenated payload bytes
@@ -180,7 +159,7 @@ class SmpExecutor final {
     std::unique_ptr<core::InlineLogStore> store;
     std::unique_ptr<wl::Workload> workload;
     core::Latch latch;
-    std::uint64_t base = 0;  // offset of this partition inside its group's image
+    std::uint64_t base = 0;         // global offset of this partition's db
     TxnRecord* current = nullptr;   // record of the txn running under latch
 
     // Coalesces stores adjacent to the previous span (a set_range's writes
@@ -208,43 +187,30 @@ class SmpExecutor final {
     bool closed_ = false;
   };
 
-  // One shard group: a contiguous partition range with its own staging
-  // queue, sequence counter, RedoPipeline and sequencer thread. Its Source
-  // image is the group's partitions gathered at group-relative offsets
-  // (partition bases are group-relative too, so staged redo lands inside
-  // the group image).
-  struct ShardGroup final : repl::RedoPipeline::Source {
-    SmpExecutor* owner = nullptr;
-    std::size_t first_partition = 0;
-    std::size_t partition_count = 0;
-    std::unique_ptr<StagingQueue> queue;
-    std::atomic<std::uint64_t> committed{0};
-    mutable std::vector<std::uint8_t> image;  // gather buffer for db()
-    std::unique_ptr<repl::RedoPipeline> pipeline;  // last-ish: over *this
-
-    const std::uint8_t* db() const override;
-    std::size_t db_size() const override { return owner->stride_ * partition_count; }
-    std::uint64_t committed_seq() const override {
-      return committed.load(std::memory_order_acquire);
-    }
-  };
+  // RedoPipeline::Source — db() gathers the partitions (quiesced only).
+  const std::uint8_t* db() const override;
+  std::size_t db_size() const override { return stride_ * partitions_.size(); }
+  std::uint64_t committed_seq() const override {
+    return committed_.load(std::memory_order_acquire);
+  }
 
   void worker_main(unsigned index);
-  void sequencer_main(ShardGroup& group);
+  void sequencer_main();
   TxnRecord* acquire_record();
   void release_record(TxnRecord* record);
 
   SmpConfig config_;
   std::size_t stride_;  // == config_.partition_db_size
   std::vector<std::unique_ptr<Partition>> partitions_;
-  std::vector<std::unique_ptr<ShardGroup>> groups_;
-  std::size_t partitions_per_group_ = 0;
+  StagingQueue queue_;
   std::mutex free_mu_;
   std::vector<std::unique_ptr<TxnRecord>> records_;  // owns every record
   std::vector<TxnRecord*> free_;
+  std::atomic<std::uint64_t> committed_{0};
   std::atomic<bool> quiesced_{true};
   bool ran_ = false;
-  mutable std::vector<std::uint8_t> image_;  // gather buffer for image()
+  mutable std::vector<std::uint8_t> image_;  // gather buffer for db()
+  repl::RedoPipeline pipeline_;  // last: constructed over *this as Source
 };
 
 }  // namespace vrep::exec

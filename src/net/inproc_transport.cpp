@@ -64,59 +64,65 @@ bool InprocTransport::send(MsgType type, std::uint64_t epoch, const void* payloa
   return true;
 }
 
-bool InprocTransport::read_fully(void* buf, std::size_t len, int timeout_ms) {
-  if (!in_) {
-    error_ = TransportError::kClosed;
-    return false;
-  }
-  auto* p = static_cast<std::uint8_t*>(buf);
-  std::size_t got = 0;
-  std::unique_lock<std::mutex> lock(in_->mu);
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms < 0 ? 0 : timeout_ms);
-  while (got < len) {
-    if (!in_->bytes.empty()) {
-      const std::size_t take = std::min(len - got, in_->bytes.size());
-      std::memcpy(p + got, in_->bytes.data(), take);
-      in_->bytes.erase(in_->bytes.begin(),
-                       in_->bytes.begin() + static_cast<std::ptrdiff_t>(take));
-      got += take;
-      continue;
-    }
-    if (in_->closed) {
-      // Stream drained and the peer is gone: a partial frame is torn, a
-      // clean boundary is EOF — both map to kClosed, as with TCP.
-      error_ = TransportError::kClosed;
-      return false;
-    }
-    if (timeout_ms < 0) {
-      in_->cv.wait(lock);
-    } else if (in_->cv.wait_until(lock, deadline) == std::cv_status::timeout &&
-               in_->bytes.empty() && !in_->closed) {
-      error_ = TransportError::kTimeout;
-      return false;
-    }
-  }
-  return true;
-}
-
 std::optional<Message> InprocTransport::recv(int timeout_ms) {
   error_ = TransportError::kNone;
-  FrameHeader hdr;
-  if (!read_fully(&hdr, sizeof hdr, timeout_ms)) return std::nullopt;
-  if (frame_header_crc(hdr) != hdr.header_crc || hdr.len > kMaxFramePayload) {
-    // Same rule as TcpTransport: the length field cannot be trusted, framing
-    // is lost for good. Close so the protocol layer resyncs via rejoin.
-    error_ = TransportError::kCorrupt;
-    metrics::counter("net.transport.corrupt_headers").add(1);
-    close_peer();
+  if (!in_) {
+    error_ = TransportError::kClosed;
     return std::nullopt;
   }
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(timeout_ms < 0 ? 0 : timeout_ms);
+  FrameHeader hdr{};
   Message msg;
-  msg.type = static_cast<MsgType>(hdr.type);
-  msg.epoch = hdr.epoch;
-  msg.payload.resize(hdr.len);
-  if (!read_fully(msg.payload.data(), hdr.len, timeout_ms)) return std::nullopt;
+  {
+    // Consume nothing until the whole frame is buffered: a deadline that
+    // expires part way leaves the stream exactly as it was, so the next call
+    // still starts at this frame's header.
+    std::unique_lock<std::mutex> lock(in_->mu);
+    std::size_t frame_bytes = 0;  // header + payload, once the header verified
+    bool expired = false;
+    for (;;) {
+      std::vector<std::uint8_t>& bytes = in_->bytes;
+      if (frame_bytes == 0 && bytes.size() >= sizeof hdr) {
+        std::memcpy(&hdr, bytes.data(), sizeof hdr);
+        if (frame_header_crc(hdr) != hdr.header_crc || hdr.len > kMaxFramePayload) {
+          // Same rule as TcpTransport: the length field cannot be trusted,
+          // framing is lost for good. Close so the protocol layer resyncs via
+          // rejoin; nothing buffered behind the bad header is parseable.
+          bytes.clear();
+          lock.unlock();
+          error_ = TransportError::kCorrupt;
+          metrics::counter("net.transport.corrupt_headers").add(1);
+          close_peer();
+          return std::nullopt;
+        }
+        frame_bytes = sizeof hdr + hdr.len;
+      }
+      if (frame_bytes != 0 && bytes.size() >= frame_bytes) {
+        msg.type = static_cast<MsgType>(hdr.type);
+        msg.epoch = hdr.epoch;
+        msg.payload.assign(bytes.begin() + sizeof hdr,
+                           bytes.begin() + static_cast<std::ptrdiff_t>(frame_bytes));
+        bytes.erase(bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(frame_bytes));
+        break;
+      }
+      if (in_->closed) {
+        // Drained and the peer is gone: a partial frame is torn, a clean
+        // boundary is EOF — both map to kClosed, as with TCP.
+        error_ = TransportError::kClosed;
+        return std::nullopt;
+      }
+      if (expired) {
+        error_ = TransportError::kTimeout;
+        return std::nullopt;
+      }
+      if (timeout_ms < 0) {
+        in_->cv.wait(lock);
+      } else {
+        expired = in_->cv.wait_until(lock, deadline) == std::cv_status::timeout;
+      }
+    }
+  }
   if (Crc32::of(msg.payload.data(), msg.payload.size()) != hdr.payload_crc) {
     // Payload consumed in full: the stream stays aligned, skip in-band.
     error_ = TransportError::kCorrupt;

@@ -57,11 +57,6 @@ class InprocTransport final : public Transport {
     bool closed = false;
   };
 
-  // Blocking read of exactly `len` bytes from in_; false on timeout or when
-  // the stream is closed and drained (kClosed — a torn frame looks the same
-  // as a killed TCP sender).
-  bool read_fully(void* buf, std::size_t len, int timeout_ms);
-
   std::shared_ptr<Stream> in_;   // peer writes, we read
   std::shared_ptr<Stream> out_;  // we write, peer reads
   TransportError error_ = TransportError::kNone;

@@ -19,8 +19,8 @@
 // traffic never drops or reorders within a shard.
 //
 // Single-owner: lanes are not thread-safe against each other; the caller
-// (e.g. one sequencer thread per shard group, or a test) serializes access
-// the same way the rest of the repl layer expects.
+// (e.g. one thread per node, or a test) serializes access the same way the
+// rest of the repl layer expects.
 //
 // Inbox bound: a lane whose owner never (or rarely) drains it cannot grow
 // without limit under skewed traffic — parked frames are capped at
@@ -31,6 +31,8 @@
 // high-water mark is published as net.shard_mux.inbox_highwater.
 #pragma once
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <deque>
@@ -120,6 +122,10 @@ class ShardChannel {
 
   std::optional<repl::Frame> recv_for(std::uint32_t shard_id, int timeout_ms) {
     Lane& self = *lanes_.at(shard_id);
+    // One deadline for the whole call: parking a neighbour lane's frame must
+    // not restart the wait. 0 stays a non-blocking drain, -1 unbounded.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(std::max(timeout_ms, 0));
     for (;;) {
       if (!self.inbox_.empty()) {
         repl::Frame frame = std::move(self.inbox_.front());
@@ -128,7 +134,14 @@ class ShardChannel {
         return frame;
       }
       self.queued_ = false;
-      std::optional<repl::Frame> raw = carrier_->recv(timeout_ms);
+      int wait_ms = timeout_ms;
+      if (timeout_ms > 0) {
+        const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+                              deadline - std::chrono::steady_clock::now())
+                              .count();
+        wait_ms = static_cast<int>(std::clamp<long long>(left, 0, timeout_ms));
+      }
+      std::optional<repl::Frame> raw = carrier_->recv(wait_ms);
       if (!raw) return std::nullopt;  // the lane reports the carrier's error
       if (raw->payload.size() < kEnvelopeBytes) {
         unroutable_ += 1;

@@ -31,6 +31,7 @@ void TcpTransport::close_peer() {
     ::close(fd_);
     fd_ = -1;
   }
+  rx_hdr_got_ = 0;  // a partial frame dies with its connection
 }
 
 bool TcpTransport::listen(std::uint16_t port) {
@@ -253,10 +254,9 @@ bool TcpTransport::send(MsgType type, std::uint64_t epoch, const void* payload,
   return true;
 }
 
-bool TcpTransport::read_fully(void* buf, std::size_t len,
+bool TcpTransport::read_fully(void* buf, std::size_t len, std::size_t& got,
                               const std::optional<std::chrono::steady_clock::time_point>& deadline) {
   auto* p = static_cast<std::uint8_t*>(buf);
-  std::size_t got = 0;
   while (got < len) {
     // Budget against one absolute deadline shared by every poll of this
     // recv(): a peer trickling one byte per window can no longer restart
@@ -300,27 +300,36 @@ bool TcpTransport::read_fully(void* buf, std::size_t len,
 
 std::optional<Message> TcpTransport::recv(int timeout_ms) {
   error_ = Error::kNone;
-  // One overall deadline for the whole frame (header + payload); -1 waits
-  // forever, as before.
+  // One overall deadline for this call's share of the frame (header +
+  // payload); -1 waits forever, as before.
   std::optional<std::chrono::steady_clock::time_point> deadline;
   if (timeout_ms >= 0) {
     deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
   }
-  FrameHeader hdr;
-  if (!read_fully(&hdr, sizeof hdr, deadline)) return std::nullopt;
-  if (frame_header_crc(hdr) != hdr.header_crc || hdr.len > kMaxFramePayload) {
-    // The length field cannot be trusted: framing is lost for good. Close so
-    // the peer reconnects and the protocol layer resyncs via rejoin.
-    error_ = Error::kCorrupt;
-    metrics::counter("net.transport.corrupt_headers").add(1);
-    close_peer();
-    return std::nullopt;
+  // A frame an earlier call's deadline cut short resumes where it stopped:
+  // dropping the bytes already read would make the next call parse payload
+  // as a header.
+  FrameHeader hdr{};
+  static_assert(sizeof rx_hdr_ == sizeof hdr);
+  if (rx_hdr_got_ < sizeof hdr) {
+    if (!read_fully(rx_hdr_, sizeof hdr, rx_hdr_got_, deadline)) return std::nullopt;
+    std::memcpy(&hdr, rx_hdr_, sizeof hdr);
+    if (frame_header_crc(hdr) != hdr.header_crc || hdr.len > kMaxFramePayload) {
+      // The length field cannot be trusted: framing is lost for good. Close
+      // so the peer reconnects and the protocol layer resyncs via rejoin.
+      error_ = Error::kCorrupt;
+      metrics::counter("net.transport.corrupt_headers").add(1);
+      close_peer();
+      return std::nullopt;
+    }
+    rx_payload_.resize(hdr.len);
+    rx_payload_got_ = 0;
+  } else {
+    std::memcpy(&hdr, rx_hdr_, sizeof hdr);
   }
-  Message msg;
-  msg.type = static_cast<MsgType>(hdr.type);
-  msg.epoch = hdr.epoch;
-  msg.payload.resize(hdr.len);
-  if (!read_fully(msg.payload.data(), hdr.len, deadline)) return std::nullopt;
+  if (!read_fully(rx_payload_.data(), hdr.len, rx_payload_got_, deadline)) return std::nullopt;
+  rx_hdr_got_ = 0;  // frame complete: the next call starts a new one
+  Message msg{static_cast<MsgType>(hdr.type), hdr.epoch, std::move(rx_payload_)};
   if (Crc32::of(msg.payload.data(), msg.payload.size()) != hdr.payload_crc) {
     // Payload bytes were consumed in full, so the stream stays aligned; the
     // receiver may skip this frame and resynchronise in-band.

@@ -127,15 +127,22 @@ class TcpTransport final : public Transport {
   bool send_bytes(const void* bytes, std::size_t len) override;
 
  private:
-  // Read exactly `len` bytes, honoring one absolute deadline (nullopt =
-  // wait forever). recv() shares the same deadline between its header and
-  // payload reads so the whole frame is bounded by a single budget.
-  bool read_fully(void* buf, std::size_t len,
+  // Read until `got` reaches `len`, honoring one absolute deadline (nullopt
+  // = wait forever). `got` keeps the progress when the deadline expires, so
+  // a later call resumes the same read. recv() shares one deadline between
+  // its header and payload reads so each call is bounded by a single budget.
+  bool read_fully(void* buf, std::size_t len, std::size_t& got,
                   const std::optional<std::chrono::steady_clock::time_point>& deadline);
   int listen_fd_ = -1;
   int fd_ = -1;
   std::uint16_t port_ = 0;
   Error error_ = Error::kNone;
+  // The frame being received (net/frame.hpp layout), kept across calls
+  // whose deadline expires part way through it.
+  std::uint8_t rx_hdr_[24] = {};
+  std::size_t rx_hdr_got_ = 0;  // == sizeof rx_hdr_ once the header verified
+  std::vector<std::uint8_t> rx_payload_;
+  std::size_t rx_payload_got_ = 0;
 };
 
 }  // namespace vrep::net

@@ -13,42 +13,21 @@ namespace vrep::repl {
 
 using sim::TrafficClass;
 
-namespace {
-// Reply path for co-simulated control frames: the backup's applier answers
-// (fences) straight into the primary link's inbound queue.
-class QueueLink final : public ReplicationLink {
- public:
-  explicit QueueLink(std::deque<Frame>* queue) : queue_(queue) {}
-  bool send(FrameKind kind, std::uint64_t epoch, const void* payload,
-            std::size_t len) override {
-    const auto* p = static_cast<const std::uint8_t*>(payload);
-    queue_->push_back(Frame{kind, epoch, std::vector<std::uint8_t>(p, p + len)});
-    return true;
-  }
-  std::optional<Frame> recv(int) override { return std::nullopt; }
-  LinkError last_error() const override { return LinkError::kTimeout; }
-  bool connected() const override { return true; }
-
- private:
-  std::deque<Frame>* queue_;
-};
-}  // namespace
-
 McRingLink::McRingLink(sim::MemBus& bus, std::uint8_t* ring_data, std::size_t ring_capacity,
                        ActiveBackup* backup)
-    : bus_(&bus), ring_data_(ring_data), ring_capacity_(ring_capacity), backup_(backup) {}
+    : bus_(&bus),
+      ring_data_(ring_data),
+      ring_capacity_(ring_capacity),
+      backup_(backup),
+      stale_(backup->applier()) {}
 
 bool McRingLink::send(FrameKind kind, std::uint64_t epoch, const void* payload,
                       std::size_t len) {
   if (backup_->applier().epoch() > epoch) {
     // Stale-epoch traffic after a takeover: the backup's applier fences it
-    // (counting repl.backup.stale_fenced) and its kEpochFence reply lands in
-    // our inbound queue for the engine's next drain.
-    const auto* p = static_cast<const std::uint8_t*>(payload);
-    const Frame frame{kind, epoch, std::vector<std::uint8_t>(p, p + len)};
-    QueueLink reply(&inbound_);
-    backup_->applier().on_frame(frame, reply);
-    return true;
+    // (counting repl.backup.stale_fenced) and its kEpochFence reply queues
+    // on stale_ for the engine's next drain.
+    return stale_.send(kind, epoch, payload, len);
   }
   switch (kind) {
     case FrameKind::kRedoBatch:
@@ -67,11 +46,9 @@ bool McRingLink::send(FrameKind kind, std::uint64_t epoch, const void* payload,
 }
 
 std::optional<Frame> McRingLink::recv(int timeout_ms) {
-  if (!inbound_.empty()) {
-    Frame frame = std::move(inbound_.front());
-    inbound_.pop_front();
+  if (std::optional<Frame> fence = stale_.recv(0)) {
     error_ = LinkError::kNone;
-    return frame;
+    return fence;
   }
   const sim::SimTime now = bus_->clock()->now();
   std::uint64_t visible = backup_->applied_visible(now);

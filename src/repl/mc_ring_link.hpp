@@ -19,13 +19,13 @@
 // the backup's network interface would reject stale-epoch traffic, but both
 // nodes live in one process here, so a send stamped with an older epoch
 // than the backup's membership view is routed through the backup's
-// RedoApplier (which fences it and answers kEpochFence into our inbound
-// queue) instead of being written to the ring.
+// RedoApplier over an InlineLink (the applier fences it and its kEpochFence
+// reply queues there for recv()) instead of being written to the ring.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 
+#include "repl/inline_link.hpp"
 #include "repl/link.hpp"
 #include "repl/redo_ring.hpp"
 #include "sim/mem_bus.hpp"
@@ -76,7 +76,7 @@ class McRingLink final : public ReplicationLink {
   std::uint8_t* ring_data_;  // local (shadow) half of the doubled writes
   std::size_t ring_capacity_;
   ActiveBackup* backup_;
-  std::deque<Frame> inbound_;  // co-simulated control frames (fences)
+  InlineLink stale_;  // stale-epoch sends, fenced inline by the backup
   std::uint64_t producer_ = 0;
   std::uint64_t last_reported_ack_ = 0;
   LinkError error_ = LinkError::kNone;

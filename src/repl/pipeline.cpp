@@ -304,27 +304,18 @@ void RedoPipeline::drain(PeerSlot& peer) {
   }
 }
 
-void RedoPipeline::wait_covered(std::uint64_t target) {
+void RedoPipeline::await_coverage(std::uint64_t target, Coverage rule) {
+  const auto covered = [&] {
+    if (rule == Coverage::kQuorum) return quorum_acked_cache_ >= target;
+    for (const PeerSlot& p : peers_) {
+      if (p.alive && p.acked_seq < target) return false;
+    }
+    return true;
+  };
   // Push the shipped frames all the way onto every carrier, then probe: the
   // heartbeat carries our shipped sequence, and a caught-up backup answers
   // it with an immediate ack (a behind one requests resync, which
   // serve_rejoin repairs right here in the wait loop).
-  // Wait accounting: co-simulated carriers report their blocking time in
-  // virtual nanoseconds, which keeps the metric byte-stable across runs;
-  // only when every link is wall-clock do we fall back to measuring wall
-  // time ourselves.
-  const auto virtual_wait = [&]() -> std::optional<std::uint64_t> {
-    std::optional<std::uint64_t> total;
-    for (const PeerSlot& p : peers_) {
-      if (p.link == nullptr) continue;
-      if (const auto ns = p.link->blocked_wait_ns(); ns.has_value()) {
-        total = total.value_or(0) + *ns;
-      }
-    }
-    return total;
-  };
-  const std::optional<std::uint64_t> virt0 = virtual_wait();
-  const auto t0 = std::chrono::steady_clock::now();
   for (PeerSlot& p : peers_) {
     if (p.link != nullptr) p.link->flush();
   }
@@ -338,10 +329,10 @@ void RedoPipeline::wait_covered(std::uint64_t target) {
     probe(p);
     p.silent = 0;
   }
-  while (!fenced_ && quorum_acked_cache_ < target) {
+  while (!fenced_ && !covered()) {
     bool any_waiting = false;
     for (PeerSlot& p : peers_) {
-      if (fenced_ || quorum_acked_cache_ >= target) break;
+      if (fenced_ || covered()) break;
       if (!p.alive || p.acked_seq >= target) continue;
       any_waiting = true;
       auto frame = p.link->recv(kTwoSafeRecvTimeoutMs);
@@ -368,10 +359,29 @@ void RedoPipeline::wait_covered(std::uint64_t target) {
       p.silent = 0;
       on_control_frame(p, *frame);
     }
-    // Every laggard peer is down: no further acks can arrive, so the commit
-    // degrades to whatever coverage it already has.
+    // Every laggard peer is down: no further acks can arrive.
     if (!any_waiting) break;
   }
+}
+
+void RedoPipeline::wait_covered(std::uint64_t target) {
+  // Wait accounting: co-simulated carriers report their blocking time in
+  // virtual nanoseconds, which keeps the metric byte-stable across runs;
+  // only when every link is wall-clock do we fall back to measuring wall
+  // time ourselves.
+  const auto virtual_wait = [&]() -> std::optional<std::uint64_t> {
+    std::optional<std::uint64_t> total;
+    for (const PeerSlot& p : peers_) {
+      if (p.link == nullptr) continue;
+      if (const auto ns = p.link->blocked_wait_ns(); ns.has_value()) {
+        total = total.value_or(0) + *ns;
+      }
+    }
+    return total;
+  };
+  const std::optional<std::uint64_t> virt0 = virtual_wait();
+  const auto t0 = std::chrono::steady_clock::now();
+  await_coverage(target, Coverage::kQuorum);
   const std::optional<std::uint64_t> virt1 = virtual_wait();
   metrics::counter("repl.primary.commit_wait_ns")
       .add(virt1.has_value()
@@ -396,15 +406,6 @@ void RedoPipeline::note_degraded() {
   degraded_upto_ = last_ticket_seq_;
   stats_.two_safe_degraded += newly;
   metrics::counter("repl.primary.two_safe_degraded").add(newly);
-}
-
-void RedoPipeline::push_history(std::uint64_t seq) {
-  history_.push_back({seq, batch_});
-  history_bytes_ += batch_.size();
-  while (history_bytes_ > history_capacity_ && !history_.empty()) {
-    history_bytes_ -= history_.front().batch.size();
-    history_.pop_front();
-  }
 }
 
 void RedoPipeline::enable_checkpoints(std::uint64_t interval_txns,
@@ -552,7 +553,7 @@ void RedoPipeline::ship_group() {
   if (count > 1) {
     kind = FrameKind::kRedoGroup;
     append_u32(group, static_cast<std::uint32_t>(count));
-    for (const PendingTxn& txn : pending_group_) {
+    for (const RedoRecord& txn : pending_group_) {
       append_u32(group, static_cast<std::uint32_t>(txn.batch.size()));
       group.insert(group.end(), txn.batch.begin(), txn.batch.end());
     }
@@ -649,12 +650,16 @@ RedoPipeline::CommitTicket RedoPipeline::commit_async(std::uint64_t seq) {
   std::memcpy(batch_.data(), &seq, 8);
   // Retain the batch even while every link is down or we are fenced: a later
   // rejoin (ours or a backup's) replays from this history.
-  push_history(seq);
+  insert_history(seq, batch_);
   if (ckpt_enabled_) step_checkpoint(seq);
-  pending_group_.push_back(PendingTxn{seq, std::move(batch_)});
+  pending_group_.push_back(RedoRecord{seq, std::move(batch_)});
   batch_.clear();
   last_ticket_seq_ = seq;
   if (pending_group_.size() >= group_size_) ship_group();
+  return admit(seq);
+}
+
+RedoPipeline::CommitTicket RedoPipeline::admit(std::uint64_t seq) {
   CommitOutcome outcome = CommitOutcome::kLocalDurable;
   if (!two_safe_) {
     // 1-safe: locally durable the moment the local store committed; the
@@ -665,7 +670,8 @@ RedoPipeline::CommitTicket RedoPipeline::commit_async(std::uint64_t seq) {
     // take the classic path unconditionally whenever this commit shipped its
     // own sequence (flush + probe + wait until covered — byte-identical to
     // the historical blocking commit); a wider window blocks only once more
-    // than W-1 shipped sequences are unacked.
+    // than W-1 shipped sequences are unacked. A cross-shard prepare rides
+    // the same rule: the coordinator decides only after its acks.
     if (window_ == 1) {
       if (shipped_seq_ == seq) wait_covered(seq);
     } else if (shipped_seq_ > 0 && window_target() > quorum_acked_cache_) {
@@ -711,74 +717,23 @@ bool RedoPipeline::drain_peers() {
   // to replay and nothing in flight to resolve through the takeover path.
   ship_group();
   if (fenced_) return false;
-  const std::uint64_t target = shipped_watermark();
-  for (PeerSlot& p : peers_) {
-    if (p.link != nullptr) p.link->flush();
-  }
-  const auto lagging = [&]() {
-    for (const PeerSlot& p : peers_) {
-      if (p.alive && p.acked_seq < target) return true;
-    }
-    return false;
-  };
-  const auto probe = [&](PeerSlot& p) {
-    if (p.alive && !fenced_ && !link_send(p, FrameKind::kHeartbeat, &target, 8)) {
-      p.alive = false;
-    }
-  };
-  for (PeerSlot& p : peers_) {
-    if (p.alive && p.acked_seq < target) probe(p);
-    p.silent = 0;
-  }
-  while (!fenced_ && lagging()) {
-    bool any_waiting = false;
-    for (PeerSlot& p : peers_) {
-      if (fenced_) break;
-      if (!p.alive || p.acked_seq >= target) continue;
-      any_waiting = true;
-      auto frame = p.link->recv(kTwoSafeRecvTimeoutMs);
-      if (!frame.has_value()) {
-        switch (p.link->last_error()) {
-          case LinkError::kTimeout:
-            if (++p.silent > kTwoSafeMaxProbes) {
-              p.alive = false;
-              break;
-            }
-            probe(p);
-            continue;
-          case LinkError::kCorrupt:
-            if (p.link->connected()) continue;
-            p.alive = false;
-            break;
-          default:
-            p.alive = false;
-            break;
-        }
-        continue;
-      }
-      p.silent = 0;
-      on_control_frame(p, *frame);
-    }
-    if (!any_waiting) break;
-  }
-  if (fenced_) return false;
-  bool any_live = false;
-  for (const PeerSlot& p : peers_) {
-    if (!p.alive) continue;
-    any_live = true;
-    if (p.acked_seq < target) return false;  // gave up on a silent laggard
-  }
-  return any_live;
+  await_coverage(shipped_watermark(), Coverage::kEveryLivePeer);
+  // Unless fenced, every peer still live covers the watermark (silent
+  // laggards were marked down); at least one must be left to promote.
+  return !fenced_ && connection_alive();
 }
 
 void RedoPipeline::insert_history(std::uint64_t seq, std::vector<std::uint8_t> batch) {
   history_bytes_ += batch.size();
-  // Later sequences may already be in the history when a decision lands;
-  // keep it seq-ordered so rejoin replays stay ascending.
-  auto it = std::lower_bound(
-      history_.begin(), history_.end(), seq,
-      [](const HistoryEntry& e, std::uint64_t s) { return e.seq < s; });
-  history_.insert(it, HistoryEntry{seq, std::move(batch)});
+  // Commits append. Only a cross-shard decision can land behind later
+  // sequences; it is placed by binary search so rejoin replays stay
+  // ascending.
+  auto it = history_.end();
+  if (!history_.empty() && history_.back().seq > seq) {
+    it = std::lower_bound(history_.begin(), history_.end(), seq,
+                          [](const RedoRecord& e, std::uint64_t s) { return e.seq < s; });
+  }
+  history_.insert(it, RedoRecord{seq, std::move(batch)});
   while (history_bytes_ > history_capacity_ && !history_.empty()) {
     history_bytes_ -= history_.front().batch.size();
     history_.pop_front();
@@ -808,27 +763,12 @@ RedoPipeline::CommitTicket RedoPipeline::prepare_cross(std::uint64_t seq, std::u
   last_ticket_seq_ = seq;
   stats_.prepares_shipped++;
   metrics::counter("repl.primary.prepares_shipped").add(1);
-  in_doubt_.emplace(xid, InDoubtTxn{seq, std::move(batch_)});
+  in_doubt_.emplace(xid, RedoRecord{seq, std::move(batch_)});
   batch_.clear();
   for (PeerSlot& p : peers_) {
     if (p.alive) drain(p);
   }
-  CommitOutcome outcome = CommitOutcome::kLocalDurable;
-  if (!two_safe_) {
-    local_resolved_upto_ = seq;
-  } else {
-    // Same bounded-window backpressure as commit_async: the coordinator's
-    // conformance rule (decision only after every prepare is covered) rides
-    // on these acks.
-    if (window_ == 1) {
-      wait_covered(seq);
-    } else if (window_target() > quorum_acked_cache_) {
-      wait_covered(window_target());
-    }
-    outcome = outcome_of(seq);
-  }
-  last_commit_outcome_ = outcome;
-  return CommitTicket{seq};
+  return admit(seq);
 }
 
 bool RedoPipeline::decide_cross(std::uint64_t xid, bool commit) {

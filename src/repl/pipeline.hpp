@@ -399,27 +399,32 @@ class RedoPipeline {
     metrics::Gauge* acked = nullptr;      // repl.primary.peer<i>.acked_seq
   };
 
-  struct HistoryEntry {
+  // One sequenced transaction's redo, as the pending group, the in-doubt
+  // table and the replay history all hold it.
+  struct RedoRecord {
     std::uint64_t seq;
     std::vector<std::uint8_t> batch;  // kRedoBatch payload (seq-prefixed)
   };
 
-  struct PendingTxn {
-    std::uint64_t seq;
-    std::vector<std::uint8_t> batch;  // kRedoBatch payload (seq-prefixed)
-  };
-
-  struct InDoubtTxn {
-    std::uint64_t seq;
-    std::vector<std::uint8_t> batch;  // kRedoBatch payload (seq-prefixed)
-  };
+  // Whose acknowledgments a wait needs: a quorum of peers (a 2-safe commit)
+  // or every live peer (a planned-handoff drain).
+  enum class Coverage : std::uint8_t { kQuorum, kEveryLivePeer };
 
   bool link_send(PeerSlot& peer, FrameKind kind, const void* payload, std::size_t len);
   void fence(std::uint64_t newer_epoch);
   void drain(PeerSlot& peer);
-  // Flush + probe + receive until acks cover `target` or no live peer can
-  // still provide them (the latter resolves the whole open window degraded).
+  // Flush + probe + receive until `rule`'s acks cover `target`, we are
+  // fenced, or no live peer can still provide them (silent peers are marked
+  // down after the probe budget).
+  void await_coverage(std::uint64_t target, Coverage rule);
+  // The 2-safe commit wait: await_coverage on a quorum, timed into
+  // repl.primary.commit_wait_ns; when coverage is unreachable the whole open
+  // window resolves degraded.
   void wait_covered(std::uint64_t target);
+  // The commit-path tail shared by commit_async and prepare_cross once `seq`
+  // is staged: 1-safe resolves it at once; 2-safe applies the bounded-window
+  // backpressure. Records the provisional outcome and returns the ticket.
+  CommitTicket admit(std::uint64_t seq);
   // Encode the pending group as one frame (kRedoBatch for a single
   // transaction, kRedoGroup for 2+) and fan it out to every live peer.
   void ship_group();
@@ -428,9 +433,8 @@ class RedoPipeline {
   CommitOutcome outcome_of(std::uint64_t seq) const;
   std::uint64_t window_target() const;
   std::uint64_t shipped_watermark() const;
-  void push_history(std::uint64_t seq);
-  // Insert a decided cross-shard batch at its sequence position (later
-  // sequences may already be in the history when the decision lands).
+  // Retain a batch at its sequence position (a decided cross-shard batch may
+  // land after later sequences), evicting the oldest past the byte budget.
   void insert_history(std::uint64_t seq, std::vector<std::uint8_t> batch);
   bool sync_peer(PeerSlot& peer);
   bool serve_rejoin(PeerSlot& peer, std::uint64_t backup_seq, std::uint64_t node_id,
@@ -450,9 +454,9 @@ class RedoPipeline {
   Lineage lineage_;
   std::vector<PeerSlot> peers_;
   std::vector<std::uint8_t> batch_;  // staged redo payload for this txn
-  std::vector<PendingTxn> pending_group_;  // committed but not yet shipped
-  std::map<std::uint64_t, InDoubtTxn> in_doubt_;  // xid -> prepared, undecided
-  std::deque<HistoryEntry> history_;
+  std::vector<RedoRecord> pending_group_;  // committed but not yet shipped
+  std::map<std::uint64_t, RedoRecord> in_doubt_;  // xid -> prepared, undecided
+  std::deque<RedoRecord> history_;
   std::size_t history_bytes_ = 0;
   std::size_t history_capacity_;
   std::uint64_t fenced_by_epoch_ = 0;

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cstring>
-#include <deque>
 #include <limits>
 #include <optional>
 
 #include "cluster/membership.hpp"
 #include "core/latch.hpp"
+#include "repl/inline_link.hpp"
 #include "repl/pipeline.hpp"
 #include "shard/rebalancer.hpp"
 #include "util/check.hpp"
@@ -22,71 +22,6 @@ namespace {
 // shards_ never reallocates, so concurrent readers can index it while
 // add_shard appends (the published count is live_shards_).
 constexpr unsigned kMaxShardGrowth = 8;
-
-// The deterministic inline-delivery loopback carrier: one object per
-// (primary, backup) pair. send() delivers the frame to the applier
-// synchronously; the applier's responses (acks, fences, rejoin requests)
-// queue in `inbox_` for the pipeline's next recv(). kill() snaps the
-// carrier the way a process death would: sends fail, recv reports closed.
-class InlineLink final : public repl::ReplicationLink {
- public:
-  explicit InlineLink(repl::RedoApplier* applier) : applier_(applier), reply_(this) {}
-
-  void kill() { down_ = true; }
-  // The backup -> primary direction (request_rejoin sends through this).
-  repl::ReplicationLink& reply_link() { return reply_; }
-
-  bool send(repl::FrameKind kind, std::uint64_t epoch, const void* payload,
-            std::size_t len) override {
-    if (down_) {
-      err_ = repl::LinkError::kClosed;
-      return false;
-    }
-    const auto* p = static_cast<const std::uint8_t*>(payload);
-    repl::Frame frame{kind, epoch, std::vector<std::uint8_t>(p, p + len)};
-    applier_->on_frame(frame, reply_);
-    return true;
-  }
-
-  std::optional<repl::Frame> recv(int timeout_ms) override {
-    (void)timeout_ms;  // inline delivery: either it is queued or it never will be
-    if (!inbox_.empty()) {
-      repl::Frame frame = std::move(inbox_.front());
-      inbox_.pop_front();
-      err_ = repl::LinkError::kNone;
-      return frame;
-    }
-    err_ = down_ ? repl::LinkError::kClosed : repl::LinkError::kTimeout;
-    return std::nullopt;
-  }
-
-  repl::LinkError last_error() const override { return err_; }
-  bool connected() const override { return !down_; }
-
- private:
-  struct Reply final : repl::ReplicationLink {
-    explicit Reply(InlineLink* owner) : owner_(owner) {}
-    bool send(repl::FrameKind kind, std::uint64_t epoch, const void* payload,
-              std::size_t len) override {
-      if (owner_->down_) return false;
-      const auto* p = static_cast<const std::uint8_t*>(payload);
-      owner_->inbox_.push_back(repl::Frame{kind, epoch, std::vector<std::uint8_t>(p, p + len)});
-      return true;
-    }
-    std::optional<repl::Frame> recv(int) override { return std::nullopt; }
-    repl::LinkError last_error() const override { return repl::LinkError::kTimeout; }
-    bool connected() const override { return !owner_->down_; }
-
-   private:
-    InlineLink* owner_;
-  };
-
-  repl::RedoApplier* applier_;
-  Reply reply_;
-  std::deque<repl::Frame> inbox_;
-  repl::LinkError err_ = repl::LinkError::kNone;
-  bool down_ = false;
-};
 
 // Replica bytes land in a plain buffer.
 struct BufferTarget final : repl::RedoApplier::Target {
@@ -151,7 +86,7 @@ struct ShardedCluster::Shard {
     BufferTarget target;
     std::unique_ptr<cluster::Membership> membership;
     repl::RedoApplier applier;
-    std::unique_ptr<InlineLink> link;  // primary-side endpoint
+    std::unique_ptr<repl::InlineLink> link;  // primary-side endpoint
   };
 
   struct Src final : repl::RedoPipeline::Source {
@@ -233,16 +168,9 @@ std::unique_ptr<ShardedCluster::Shard> ShardedCluster::build_shard(ShardId id) {
       shard->source, nullptr, shard->membership.get(), repl::RedoPipeline::Lineage{0, 0},
       config_.redo_history_bytes);
   for (unsigned b = 0; b < config_.backups_per_shard; ++b) {
-    auto backup = std::make_unique<Shard::Backup>(static_cast<int>(b) + 1,
-                                                  config_.shard_db_size);
-    backup->link = std::make_unique<InlineLink>(&backup->applier);
-    if (b == 0) {
-      shard->pipeline->attach_link(0, backup->link.get());
-    } else {
-      shard->pipeline->add_peer(backup->link.get());
-    }
-    shard->membership->adopt_backup(backup->node_id);
-    shard->backups.push_back(std::move(backup));
+    shard->backups.push_back(
+        std::make_unique<Shard::Backup>(static_cast<int>(b) + 1, config_.shard_db_size));
+    attach_backup(*shard, b);
   }
   shard->next_node = static_cast<int>(config_.backups_per_shard) + 1;
   shard->pipeline->set_two_safe(config_.two_safe && !shard->backups.empty());
@@ -577,9 +505,34 @@ void ShardedCluster::promote(Shard& s) {
     }
   }
 
-  // Promote backup 0 (inline delivery keeps every replica equally caught
-  // up, so view order breaks the tie): its image becomes the primary image,
-  // its takeover fences the dead primary's epoch.
+  promote_backup0(s);
+}
+
+void ShardedCluster::attach_backup(Shard& s, std::size_t index) {
+  Shard::Backup& b = *s.backups[index];
+  b.link = std::make_unique<repl::InlineLink>(b.applier);
+  if (index == 0) {
+    s.pipeline->attach_link(0, b.link.get());
+  } else {
+    s.pipeline->add_peer(b.link.get());
+  }
+  s.membership->adopt_backup(b.node_id);
+}
+
+void ShardedCluster::rejoin_backups(Shard& s) {
+  for (std::size_t peer = 0; peer < s.backups.size(); ++peer) {
+    auto& b = s.backups[peer];
+    VREP_CHECK(b->applier.request_rejoin(b->link->reply_link()));
+    VREP_CHECK(s.pipeline->handle_rejoin(peer, /*timeout_ms=*/10));
+  }
+  s.pipeline->set_two_safe(config_.two_safe && !s.backups.empty());
+  s.pipeline->set_quorum(config_.quorum);
+}
+
+void ShardedCluster::promote_backup0(Shard& s) {
+  // Inline delivery keeps every replica equally caught up, so view order
+  // breaks the tie: backup 0's image becomes the primary image, and its
+  // takeover fences the old primary's epoch.
   std::unique_ptr<Shard::Backup> winner = std::move(s.backups.front());
   s.backups.erase(s.backups.begin());
   const std::uint64_t prev_epoch = winner->applier.state_epoch();
@@ -592,35 +545,12 @@ void ShardedCluster::promote(Shard& s) {
       repl::RedoPipeline::Lineage{prev_epoch, s.committed}, config_.redo_history_bytes);
   s.primary_alive = true;
 
-  // Re-adopt the surviving backups through the ordinary rejoin protocol.
+  // Re-adopt the remaining backups through the ordinary rejoin protocol.
   // Every adopt bumps the epoch, and a backup only learns a newer epoch from
   // its rejoin delta — so adopt ALL of them first (settling the epoch), then
   // serve the rejoins.
-  readopt_backups(s);
-}
-
-// Attach fresh links, adopt every backup into the (possibly new) primary's
-// view, then serve every rejoin at the settled epoch. Caller holds the
-// shard latch (or owns the shard exclusively during a takeover).
-void ShardedCluster::readopt_backups(Shard& s) {
-  bool first = true;
-  for (auto& b : s.backups) {
-    b->link = std::make_unique<InlineLink>(&b->applier);
-    if (first) {
-      s.pipeline->attach_link(0, b->link.get());
-      first = false;
-    } else {
-      s.pipeline->add_peer(b->link.get());
-    }
-    s.membership->adopt_backup(b->node_id);
-  }
-  for (std::size_t peer = 0; peer < s.backups.size(); ++peer) {
-    auto& b = s.backups[peer];
-    VREP_CHECK(b->applier.request_rejoin(b->link->reply_link()));
-    VREP_CHECK(s.pipeline->handle_rejoin(peer, /*timeout_ms=*/10));
-  }
-  s.pipeline->set_two_safe(config_.two_safe && !s.backups.empty());
-  s.pipeline->set_quorum(config_.quorum);
+  for (std::size_t i = 0; i < s.backups.size(); ++i) attach_backup(s, i);
+  rejoin_backups(s);
 }
 
 // ---------------------------------------------------------------------------
@@ -652,25 +582,12 @@ void ShardedCluster::handoff_primary(ShardId id) {
 
   // Promote backup 0 exactly like a takeover, minus the takeover: no txn is
   // in doubt, no sequence is in flight, so nothing resolves through the
-  // failure path and the epoch bump is the only visible change.
-  std::unique_ptr<Shard::Backup> winner = std::move(s.backups.front());
-  s.backups.erase(s.backups.begin());
-  const std::uint64_t prev_epoch = winner->applier.state_epoch();
-  s.db = winner->target.bytes;
-  s.committed = winner->applier.applied_seq();
-  winner->membership->take_over();
-  s.membership = std::move(winner->membership);
-  s.pipeline = std::make_unique<repl::RedoPipeline>(
-      s.source, nullptr, s.membership.get(),
-      repl::RedoPipeline::Lineage{prev_epoch, s.committed}, config_.redo_history_bytes);
+  // failure path and the epoch bump is the only visible change. Everyone —
+  // surviving backups AND the demoted primary — sits exactly at the
+  // takeover floor with the fenced epoch's state, so every rejoin is an
+  // empty delta (full_syncs_served stays 0 — the handoff ships no image).
   s.backups.push_back(std::move(demoted));
-
-  // Re-adopt everyone — surviving backups AND the demoted primary — through
-  // the ordinary rejoin protocol (adopts first so the epoch settles, then
-  // the rejoins). All of them sit exactly at the takeover floor with the
-  // fenced epoch's state, so every rejoin is an empty delta
-  // (full_syncs_served stays 0 — the handoff ships no image).
-  readopt_backups(s);
+  promote_backup0(s);
 
   rb_handoffs_.fetch_add(1, std::memory_order_relaxed);
   metrics::counter("shard.rebalance.handoffs").add(1);
@@ -680,26 +597,13 @@ void ShardedCluster::add_backup(ShardId id) {
   Shard& s = *shards_.at(id);
   core::LatchGuard guard(s.latch);
   VREP_CHECK(s.primary_alive);
-  auto backup = std::make_unique<Shard::Backup>(s.next_node++, config_.shard_db_size);
-  backup->link = std::make_unique<InlineLink>(&backup->applier);
-  if (s.backups.empty()) {
-    s.pipeline->attach_link(0, backup->link.get());
-  } else {
-    s.pipeline->add_peer(backup->link.get());
-  }
-  s.membership->adopt_backup(backup->node_id);
-  s.backups.push_back(std::move(backup));
+  s.backups.push_back(std::make_unique<Shard::Backup>(s.next_node++, config_.shard_db_size));
+  attach_backup(s, s.backups.size() - 1);
   // Adopting the newcomer bumped the epoch, and a backup only learns a
   // newer epoch from a sync-start frame — so EVERY backup rejoins at the
   // settled epoch: the new one syncs its image (the honest cost of growing
   // the replica set), the old ones get an empty delta carrying the epoch.
-  for (std::size_t peer = 0; peer < s.backups.size(); ++peer) {
-    auto& b = s.backups[peer];
-    VREP_CHECK(b->applier.request_rejoin(b->link->reply_link()));
-    VREP_CHECK(s.pipeline->handle_rejoin(peer, /*timeout_ms=*/10));
-  }
-  s.pipeline->set_two_safe(config_.two_safe && !s.backups.empty());
-  s.pipeline->set_quorum(config_.quorum);
+  rejoin_backups(s);
   rb_backup_adds_.fetch_add(1, std::memory_order_relaxed);
   metrics::counter("shard.rebalance.backup_adds").add(1);
 }

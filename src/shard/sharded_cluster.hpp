@@ -6,12 +6,13 @@
 // commit through shard::CrossShardCoordinator's 2PC over the per-shard
 // pipelines.
 //
-// Replication runs over a deterministic inline-delivery loopback carrier:
-// send() hands the frame straight to the backup's RedoApplier and queues
-// the applier's responses for the pipeline's next recv(). Everything —
-// prepares, decides, acks, rejoins, takeovers — is therefore synchronous
-// and reproducible from the seed, which is what lets the conformance tests
-// compare surviving replica CRCs against an independently-replayed oracle.
+// Replication runs over repl::InlineLink (repl/inline_link.hpp), the
+// deterministic inline carrier: send() hands the frame straight to the
+// backup's RedoApplier and queues the applier's responses for the
+// pipeline's next recv(). Everything — prepares, decides, acks, rejoins,
+// takeovers — is therefore synchronous and reproducible from the seed,
+// which is what lets the conformance tests compare surviving replica CRCs
+// against an independently-replayed oracle.
 //
 // Per-shard database layout:
 //
@@ -315,7 +316,16 @@ class ShardedCluster {
   const std::uint8_t* shard_db_ptr(ShardId id) const;
   CrossShardCoordinator::Participant shard_participant(ShardId id);
   void promote(Shard& shard);
-  void readopt_backups(Shard& shard);
+  // Give backup `index` a fresh inline link in peer slot `index` of the
+  // shard's pipeline and adopt it into the view (the adopt bumps the epoch).
+  void attach_backup(Shard& shard, std::size_t index);
+  // Serve every backup's rejoin at the settled epoch, then re-arm 2-safe
+  // commit and the quorum for the current backup set.
+  void rejoin_backups(Shard& shard);
+  // Backup 0 becomes the primary under a new lineage; every other backup is
+  // re-attached and rejoins. Caller holds the shard latch (or owns the
+  // shard exclusively during a takeover).
+  void promote_backup0(Shard& shard);
   bool decide_in_doubt(std::uint64_t xid) const;
   void record_resolution(std::uint64_t xid, bool commit);
   // Dual-write tracking: callers hold `shard`'s latch; marks an already-

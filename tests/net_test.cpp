@@ -7,10 +7,12 @@
 #include <chrono>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "net/frame.hpp"
+#include "net/inproc_transport.hpp"
 #include "net/transport.hpp"
 #include "net/wire_repl.hpp"
 #include "util/rng.hpp"
@@ -206,6 +208,50 @@ TEST(Transport, SlowButSteadyPeerStillCompletesWithinDeadline) {
   chunked.join();
   ASSERT_TRUE(msg.has_value());
   EXPECT_EQ(msg->payload.size(), payload.size());
+}
+
+TEST(Transport, TimeoutMidFrameResumesOnTheNextRecv) {
+  // Regression: a recv whose deadline expired part way through a frame threw
+  // away the bytes it had read, so the next recv parsed payload bytes as a
+  // header, reported kCorrupt and closed the stream. The frame must resume
+  // intact on the next call — split inside the header, at its end, and
+  // inside the payload, over both byte-stream transports.
+  std::vector<std::uint8_t> payload(256);
+  for (std::size_t i = 0; i < payload.size(); ++i) payload[i] = static_cast<std::uint8_t>(i);
+  const auto frame = encode_frame(MsgType::kRedoBatch, 4, payload.data(), payload.size());
+  const auto check = [&](Transport& sender, Transport& receiver) {
+    for (const std::size_t split : {std::size_t{10}, sizeof(FrameHeader),
+                                    sizeof(FrameHeader) + 100}) {
+      SCOPED_TRACE("split at byte " + std::to_string(split));
+      ASSERT_TRUE(sender.send_bytes(frame.data(), split));
+      EXPECT_FALSE(receiver.recv(50).has_value());
+      EXPECT_EQ(receiver.last_error(), TransportError::kTimeout);
+      ASSERT_TRUE(sender.send_bytes(frame.data() + split, frame.size() - split));
+      const auto msg = receiver.recv(1000);
+      ASSERT_TRUE(msg.has_value()) << "error " << static_cast<int>(receiver.last_error());
+      EXPECT_TRUE(receiver.connected());
+      EXPECT_EQ(msg->type, MsgType::kRedoBatch);
+      EXPECT_EQ(msg->epoch, 4u);
+      EXPECT_EQ(msg->payload, payload);
+    }
+    // The stream is still aligned for the next whole frame.
+    const char beat[] = "ok";
+    ASSERT_TRUE(sender.send(MsgType::kHeartbeat, 4, beat, sizeof beat));
+    const auto next = receiver.recv(1000);
+    ASSERT_TRUE(next.has_value());
+    EXPECT_EQ(next->type, MsgType::kHeartbeat);
+  };
+  {
+    SCOPED_TRACE("tcp");
+    LoopbackPair pair;
+    check(pair.client, pair.server);
+  }
+  {
+    SCOPED_TRACE("inproc");
+    InprocTransport a, b;
+    InprocTransport::pair(a, b);
+    check(a, b);
+  }
 }
 
 // ---- accept_peer / connect_to deadline semantics ---------------------------

@@ -19,6 +19,7 @@
 #include "net/transport.hpp"
 #include "net/wire_repl.hpp"
 #include "repl/active.hpp"
+#include "repl/inline_link.hpp"
 #include "repl/link.hpp"
 #include "repl/pipeline.hpp"
 #include "rio/arena.hpp"
@@ -795,6 +796,65 @@ class MemTarget final : public repl::RedoApplier::Target {
 
   std::vector<std::uint8_t> mem;
 };
+
+// ---- repl::InlineLink -------------------------------------------------------
+
+TEST(InlineLink, DeliversInlineAndQueuesRepliesForRecv) {
+  MemTarget target(4096);
+  repl::RedoApplier applier(target);
+  repl::InlineLink link(applier);
+  MemSource source(4096);
+  repl::RedoPipeline pipe(source, &link);
+
+  // Each send reaches the applier before it returns.
+  ASSERT_TRUE(pipe.sync_backup());
+  EXPECT_TRUE(applier.image_complete());
+  commit_one(pipe, source, 1);
+  EXPECT_EQ(applier.applied_seq(), 1u);
+  EXPECT_EQ(target.mem[0], 1u);
+  EXPECT_FALSE(link.recv(0).has_value()) << "no reply was asked for yet";
+  EXPECT_EQ(link.last_error(), repl::LinkError::kTimeout);
+
+  // The applier's answers queue, in order, for the primary's recv.
+  const std::uint64_t committed = 1;
+  ASSERT_TRUE(link.send(repl::FrameKind::kHeartbeat, 1, &committed, 8));
+  ASSERT_TRUE(applier.request_rejoin(link.reply_link()));
+  std::optional<repl::Frame> ack = link.recv(0);
+  ASSERT_TRUE(ack.has_value());
+  EXPECT_EQ(ack->kind, repl::FrameKind::kConsumerAck);
+  std::uint64_t acked = 0;
+  ASSERT_EQ(ack->payload.size(), 8u);
+  std::memcpy(&acked, ack->payload.data(), 8);
+  EXPECT_EQ(acked, 1u);
+  std::optional<repl::Frame> request = link.recv(0);
+  ASSERT_TRUE(request.has_value());
+  EXPECT_EQ(request->kind, repl::FrameKind::kRejoinRequest);
+  EXPECT_FALSE(link.recv(0).has_value());
+  EXPECT_EQ(link.last_error(), repl::LinkError::kTimeout);
+}
+
+TEST(InlineLink, KillSnapsBothDirections) {
+  MemTarget target(4096);
+  repl::RedoApplier applier(target);
+  repl::InlineLink link(applier);
+  const std::uint64_t seq = 0;
+  ASSERT_TRUE(link.reply_link().send(repl::FrameKind::kConsumerAck, 1, &seq, 8));
+  link.kill();
+
+  EXPECT_FALSE(link.connected());
+  EXPECT_FALSE(link.reply_link().connected());
+  const std::uint64_t hello[2] = {4096, 0};
+  EXPECT_FALSE(link.send(repl::FrameKind::kHello, 1, hello, sizeof hello));
+  EXPECT_EQ(link.last_error(), repl::LinkError::kClosed);
+  EXPECT_EQ(applier.db_size(), 0u) << "a send after kill() reached the applier";
+  EXPECT_FALSE(link.reply_link().send(repl::FrameKind::kConsumerAck, 1, &seq, 8))
+      << "the reply path must refuse frames after kill()";
+
+  // What arrived before the kill still drains, then the link reports closed.
+  EXPECT_TRUE(link.recv(0).has_value());
+  EXPECT_FALSE(link.recv(0).has_value());
+  EXPECT_EQ(link.last_error(), repl::LinkError::kClosed);
+}
 
 TEST(CheckpointRegression, FuzzyBuildIsConsistentAtItsWatermark) {
   // The background copy runs concurrently with commits (4 commits per

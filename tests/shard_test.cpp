@@ -5,7 +5,9 @@
 // threaded cross-shard commit hammer (the TSan preset's second subject).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <deque>
 #include <optional>
@@ -320,6 +322,55 @@ TEST(ShardMux, StalledLaneInboxIsBoundedAndDropsAreCounted) {
   ASSERT_TRUE(live.recv(0).has_value());
   EXPECT_TRUE(stalled.recv(0).has_value());
   EXPECT_EQ(channel.inbox_dropped(), 92u) << "no new drops after the drain";
+}
+
+// A carrier on which a frame for `lane` arrives every 20 ms, `frames` times,
+// after which it falls silent. recv waits for the next arrival within its
+// timeout, like a real transport.
+class PacedCarrier final : public repl::ReplicationLink {
+ public:
+  PacedCarrier(std::uint32_t lane, int frames) : lane_(lane), frames_(frames) {}
+  bool send(repl::FrameKind, std::uint64_t, const void*, std::size_t) override { return true; }
+  std::optional<repl::Frame> recv(int timeout_ms) override {
+    constexpr int kPaceMs = 20;
+    if (frames_ == 0 || (timeout_ms >= 0 && timeout_ms < kPaceMs)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(std::max(timeout_ms, 0)));
+      err_ = repl::LinkError::kTimeout;
+      return std::nullopt;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(kPaceMs));
+    frames_--;
+    err_ = repl::LinkError::kNone;
+    std::vector<std::uint8_t> wrapped(net::ShardChannel::kEnvelopeBytes);
+    std::memcpy(wrapped.data(), &lane_, sizeof lane_);
+    return repl::Frame{repl::FrameKind::kHeartbeat, 1, std::move(wrapped)};
+  }
+  repl::LinkError last_error() const override { return err_; }
+  bool connected() const override { return true; }
+
+ private:
+  std::uint32_t lane_;
+  int frames_;
+  repl::LinkError err_ = repl::LinkError::kNone;
+};
+
+TEST(ShardMux, LaneRecvHonoursOneDeadlineAcrossNeighbourFrames) {
+  // Regression: recv_for handed the full timeout to every carrier recv, so
+  // each frame parked for a neighbour lane restarted the wait — 50 neighbour
+  // frames 20 ms apart held a 100 ms recv for over a second.
+  PacedCarrier carrier(/*lane=*/7, /*frames=*/50);
+  net::ShardChannel channel(&carrier);
+  repl::ReplicationLink& mine = channel.lane(2);
+  repl::ReplicationLink& neighbour = channel.lane(7);
+
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_FALSE(mine.recv(100).has_value());
+  const auto elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+  EXPECT_EQ(mine.last_error(), repl::LinkError::kTimeout);
+  EXPECT_LT(elapsed_ms, 500) << "the neighbour's frames extended a 100 ms recv";
+  EXPECT_TRUE(neighbour.recv(0).has_value()) << "frames that arrived meanwhile stay parked";
 }
 
 // ---- cross-shard conformance vs a fault-free oracle -------------------------

@@ -160,38 +160,6 @@ TEST(SmpExecutor, TinyQueueBackpressureIsLossless) {
   expect_converged(executor, harness, 1'200);
 }
 
-// Shard groups: the partitions split into independent sequencer domains,
-// each with its own pipeline and sequence stream. Same worker RNG streams
-// as the single-sequencer executor, so the partition picks are identical —
-// only the commit sequencing is partitioned.
-TEST(SmpExecutor, ShardGroupsSequenceIndependentlyAndStayConsistent) {
-  SmpConfig config;
-  config.workload = wl::WorkloadKind::kDebitCredit;
-  config.workers = 4;
-  config.partitions = 8;
-  config.txns_per_worker = 600;
-  config.sequencer_shards = 4;
-  SmpExecutor executor(config, /*link=*/nullptr);
-  ASSERT_EQ(executor.shard_group_count(), 4u);
-  const auto result = executor.run();
-  EXPECT_EQ(result.committed, 2'400u);
-  EXPECT_EQ(executor.check_consistency(), "");
-  // Every transaction was sequenced by exactly one group, and each group
-  // sequenced its own contiguous stream.
-  std::uint64_t total = 0;
-  for (unsigned g = 0; g < 4; ++g) {
-    const std::uint64_t n = executor.group_sequenced(g);
-    EXPECT_GT(n, 0u) << "group " << g << " never sequenced (partition map broken)";
-    EXPECT_EQ(executor.group_pipeline(g).last_ticket_seq(), n);
-    total += n;
-  }
-  EXPECT_EQ(total, 2'400u);
-  EXPECT_EQ(executor.sequenced(), 2'400u);
-  // The gathered image is still the full database (all groups concatenated).
-  EXPECT_EQ(executor.image_size(), config.partitions * config.partition_db_size);
-  EXPECT_NE(executor.image(), nullptr);
-}
-
 // The partition routing hook (the shard router's integration point): a null
 // hook must be byte-identical to the historical `draw % partitions`
 // placement — same RNG stream, same images — and a custom hook changes
