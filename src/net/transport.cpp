@@ -28,6 +28,12 @@ TcpTransport::~TcpTransport() {
 
 void TcpTransport::close_peer() {
   if (fd_ >= 0) {
+    // Read out input that already arrived: closing with unread input makes
+    // the kernel send RST and drop whatever it has not yet delivered to the
+    // peer, losing frames send() had accepted.
+    std::uint8_t sink[4096];
+    while (::recv(fd_, sink, sizeof sink, MSG_DONTWAIT) > 0) {
+    }
     ::close(fd_);
     fd_ = -1;
   }

@@ -210,6 +210,34 @@ TEST(Transport, SlowButSteadyPeerStillCompletesWithinDeadline) {
   EXPECT_EQ(msg->payload.size(), payload.size());
 }
 
+TEST(Transport, CloseWithUnreadInputStillDeliversWhatWasSent) {
+  // Regression: closing a socket with unread input makes the kernel send RST
+  // and drop every byte it has not yet delivered, so frames send() had
+  // accepted never reached the peer (a torn-frame close lost the batches
+  // before it). close_peer() must deliver everything sent before it.
+  LoopbackPair pair;
+  const std::uint64_t acked = 1;
+  ASSERT_TRUE(pair.server.send(MsgType::kConsumerAck, 1, &acked, sizeof acked));
+  // The client never reads that ack. It sends more than the socket buffers
+  // hold, so the tail is still queued in the kernel when it closes.
+  std::vector<std::uint8_t> payload(64 * 1024, 0x42);
+  constexpr int kFrames = 200;
+  int received = 0;
+  std::thread reader([&] {
+    while (pair.server.recv(2000)) received++;
+  });
+  int sent = 0;
+  while (sent < kFrames &&
+         pair.client.send(MsgType::kRedoBatch, 1, payload.data(), payload.size())) {
+    sent++;
+  }
+  pair.client.close_peer();
+  reader.join();
+  EXPECT_EQ(sent, kFrames);
+  EXPECT_EQ(received, kFrames) << "frames accepted by send() were lost at close";
+  EXPECT_EQ(pair.server.last_error(), TcpTransport::Error::kClosed);
+}
+
 TEST(Transport, TimeoutMidFrameResumesOnTheNextRecv) {
   // Regression: a recv whose deadline expired part way through a frame threw
   // away the bytes it had read, so the next recv parsed payload bytes as a
