@@ -72,9 +72,9 @@ SweepResult run_sweep_cell(unsigned window, unsigned group, std::uint64_t txns) 
                        backups[static_cast<std::size_t>(i)].get());
   }
   primary.set_two_safe(true);
-  primary.set_quorum(2);
+  primary.pipeline().set_quorum(2);
   primary.set_commit_window(window);
-  primary.set_group_size(group);
+  primary.pipeline().set_group_size(group);
 
   wl::DebitCredit bank(kDbSize);
   bank.initialize(primary);

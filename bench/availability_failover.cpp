@@ -83,7 +83,7 @@ CellResult run_cell(const Topology& topo, std::uint64_t txns) {
     primary.add_backup(barenas[static_cast<std::size_t>(i)], backups[static_cast<std::size_t>(i)].get());
   }
   primary.set_two_safe(topo.two_safe);
-  primary.set_quorum(topo.quorum);
+  primary.pipeline().set_quorum(topo.quorum);
 
   wl::DebitCredit bank(kDbSize);
   bank.initialize(primary);

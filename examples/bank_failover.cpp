@@ -77,26 +77,26 @@ int run_primary(std::uint16_t port, int txns_before_death, bool chaos,
   store.flush_initial_state();
   // The backup introduces itself with a rejoin request (from sequence 0,
   // which yields the full image sync for a fresh replica).
-  if (!store.handle_rejoin(/*timeout_ms=*/5'000)) {
+  if (!store.pipeline().handle_rejoin(/*timeout_ms=*/5'000)) {
     std::fprintf(stderr, "[primary] backup never asked to join\n");
     return 1;
   }
   std::printf("[primary] synced backup (epoch %llu), running transactions...\n",
-              static_cast<unsigned long long>(store.epoch()));
+              static_cast<unsigned long long>(store.pipeline().epoch()));
 
   Backoff backoff({/*base_ms=*/10, /*max_ms=*/500, /*multiplier=*/2.0, /*jitter=*/0.5},
                   chaos_seed);
   Rng rng(2026);
   for (int i = 0; i < txns_before_death || txns_before_death < 0; ++i) {
-    if (store.fenced()) {
+    if (store.pipeline().fenced()) {
       // A newer epoch exists: someone took over while we were presumed
       // dead. A real deployment would demote_to_backup() and rejoin; the
       // demo just refuses to keep writing (that is the split-brain fix).
       std::printf("[primary] fenced by epoch %llu: stepping down\n",
-                  static_cast<unsigned long long>(store.fenced_by_epoch()));
+                  static_cast<unsigned long long>(store.pipeline().fenced_by_epoch()));
       return 3;
     }
-    if (!store.connection_alive()) {
+    if (!store.pipeline().connection_alive()) {
       // Reconnect with bounded exponential backoff + jitter, then serve the
       // backup's rejoin request (delta from its last applied sequence, or a
       // full image if the gap outgrew the redo history).
@@ -105,11 +105,11 @@ int run_primary(std::uint16_t port, int txns_before_death, bool chaos,
       usleep(static_cast<useconds_t>(*delay * 1000));
       if (tcp.connect_to("127.0.0.1", port, /*timeout_ms=*/500)) {
         store.attach_transport(&transport);
-        if (store.handle_rejoin(/*timeout_ms=*/1'000)) backoff.reset();
+        if (store.pipeline().handle_rejoin(/*timeout_ms=*/1'000)) backoff.reset();
       }
     }
     bank.run_txn(store, rng);
-    if (i % 64 == 0) store.send_heartbeat();
+    if (i % 64 == 0) store.pipeline().send_heartbeat();
   }
   if (chaos) {
     const auto& s = transport.stats();
@@ -169,7 +169,7 @@ int run_backup(std::uint16_t port) {
               static_cast<unsigned long long>(membership.view().epoch + 1));
   membership.take_over();
 
-  const auto& stats = backup.stats();
+  const auto& stats = backup.applier().stats();
   std::printf("[backup] stream stats: %llu applied, %llu dups ignored, %llu gaps, "
               "%llu corrupt skipped, %llu resyncs, %llu stale fenced\n",
               static_cast<unsigned long long>(stats.batches_applied),

@@ -187,7 +187,7 @@ void SmpExecutor::sequencer_main() {
     const std::uint64_t seq = committed_.load(std::memory_order_relaxed) + 1;
     // Publish before commit_async: the pipeline reads Source::committed_seq
     // on its commit path (shipped watermark), expecting the local commit to
-    // precede it — same order as WirePrimary.
+    // precede it — same order as repl::ReplicatedStore.
     committed_.store(seq, std::memory_order_release);
     pipeline_.commit_async(seq);
     release_record(rec);

@@ -16,12 +16,12 @@
 // store + workload instance over its own pass-through MemBus, mapped at
 // global offset `partition_index * partition_db_size`. Workers latch a
 // partition for the duration of one transaction; the store's write capture
-// (the same mechanism WirePrimary uses) globalizes the redo offsets into a
-// thread-owned TxnRecord. Records are handed to the sequencer through a
-// bounded MPSC queue — the enqueue happens while the partition latch is
-// still held, so the queue order is a linearization of every partition's
-// commit order and the backup replays writes to each record in commit
-// order.
+// (the same mechanism repl::ReplicatedStore uses) globalizes the redo
+// offsets into a thread-owned TxnRecord. Records are handed to the sequencer
+// through a bounded MPSC queue — the enqueue happens while the partition
+// latch is still held, so the queue order is a linearization of every
+// partition's commit order and the backup replays writes to each record in
+// commit order.
 //
 // The sequencer is the ONLY thread that touches the RedoPipeline and link
 // (the pipeline stays single-writer; no protocol changes). Group commit and

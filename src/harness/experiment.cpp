@@ -1,18 +1,15 @@
 #include "harness/experiment.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <vector>
 
-#include <chrono>
-
 #include "repl/active.hpp"
 #include "repl/passive.hpp"
 #include "rio/arena.hpp"
-#include "shard/sharded_cluster.hpp"
 #include "sim/node.hpp"
-#include "util/check.hpp"
 #include "util/metrics.hpp"
 
 namespace vrep::harness {
@@ -31,6 +28,10 @@ const char* mode_name(Mode m) {
 
 namespace {
 
+// Extra bytes of bookkeeping per V0 undo record (see StoreConfig and
+// DESIGN.md).
+constexpr std::size_t kV0MetaPadBytes = 195;
+
 // Everything belonging to one transaction stream (one primary CPU).
 struct Stream {
   rio::Arena primary_arena;
@@ -42,49 +43,9 @@ struct Stream {
   std::uint64_t remaining = 0;
 };
 
-// The partitioned multi-primary path: a deterministic ShardedCluster load
-// (per-shard pipelines, 2PC for the remote-branch mix), with the replica
-// convergence and the global balance invariant checked before reporting.
-ExperimentResult run_sharded(const ExperimentConfig& config) {
-  shard::ShardedConfig cluster_config;
-  cluster_config.shards = config.shards;
-  cluster_config.backups_per_shard = config.backups_per_shard;
-  cluster_config.two_safe = config.two_safe;
-  shard::ShardedCluster cluster(cluster_config);
-
-  shard::RebalanceScript script;
-  if (config.rebalance_at_txn != 0) {
-    script.ops.push_back({shard::RebalanceOp::Kind::kSplit, config.rebalance_at_txn,
-                          /*shard=*/0, /*at_hash=*/0});
-    script.ops.push_back(
-        {shard::RebalanceOp::Kind::kHandoff, config.rebalance_at_txn + 1, /*shard=*/0, 0});
-  }
-
-  const auto t0 = std::chrono::steady_clock::now();
-  const shard::ShardedCluster::RunResult run = cluster.run(
-      config.seed, config.txns_per_stream, config.remote_fraction, {}, script);
-  const auto t1 = std::chrono::steady_clock::now();
-
-  for (unsigned s = 0; s < cluster.num_shards(); ++s) {
-    const std::string err = cluster.check_replicas(s);
-    VREP_CHECK(err.empty() && "shard replicas diverged");
-  }
-  const std::string global = cluster.check_global_consistency();
-  VREP_CHECK(global.empty() && "global balance invariant violated");
-
-  ExperimentResult result;
-  result.committed = run.committed;
-  result.cross_committed = run.cross_committed;
-  result.seconds = std::chrono::duration<double>(t1 - t0).count();
-  result.tps = result.seconds == 0 ? 0
-                                   : static_cast<double>(result.committed) / result.seconds;
-  return result;
-}
-
 }  // namespace
 
 ExperimentResult run_experiment(const ExperimentConfig& config) {
-  if (config.shards > 1) return run_sharded(config);
   const bool replicated = config.mode != Mode::kStandalone;
 
   std::unique_ptr<sim::McFabric> fabric;
@@ -100,7 +61,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   }
 
   core::StoreConfig store_config = wl::suggest_config(config.workload, config.db_size);
-  store_config.v0_meta_pad_bytes = config.v0_meta_pad_bytes;
+  store_config.v0_meta_pad_bytes = kV0MetaPadBytes;
 
   std::vector<std::unique_ptr<Stream>> streams;
   for (int s = 0; s < config.streams; ++s) {
@@ -108,7 +69,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     sim::Cpu& cpu = primary.cpu(static_cast<std::size_t>(s));
 
     if (config.mode == Mode::kActive) {
-      const auto layout = repl::ActiveBackupLayout::make(config.db_size, config.ring_capacity);
+      const auto layout = repl::ActiveBackupLayout::make(config.db_size);
       stream->primary_arena =
           rio::Arena::create(repl::ActivePrimary::primary_arena_bytes(store_config, layout));
       stream->backup_arena = rio::Arena::create(layout.arena_bytes());
@@ -117,13 +78,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
       auto active_primary = std::make_unique<repl::ActivePrimary>(
           cpu.bus(), stream->primary_arena, stream->backup_arena, store_config, layout,
           stream->active_backup.get(), /*format=*/true);
-      active_primary->set_two_safe(config.two_safe);
-      active_primary->set_commit_window(config.commit_window);
-      active_primary->set_group_size(config.commit_group);
-      if (config.checkpoint_interval > 0) {
-        active_primary->enable_checkpoints(config.checkpoint_interval,
-                                           config.checkpoint_copy_bytes);
-      }
+      active_primary->pipeline().set_two_safe(config.two_safe);
       stream->store = std::move(active_primary);
     } else {
       const std::size_t arena_bytes = core::required_arena_size(config.version, store_config);
@@ -195,13 +150,13 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   }
   latency_timer.merge(result.commit_latency_ns);
 
-  // Quiesce: flush any buffered group commit and resolve outstanding
-  // tickets (a provable no-op at the default W=1, G=1), then drain write
-  // buffers and deliver everything in flight.
+  // Quiesce: resolve outstanding tickets (a provable no-op at the default
+  // W=1, G=1 the harness runs), then drain write buffers and deliver
+  // everything in flight.
   for (int s = 0; s < config.streams; ++s) {
     sim::Cpu& cpu = primary.cpu(static_cast<std::size_t>(s));
     if (auto* active = dynamic_cast<repl::ActivePrimary*>(streams[s]->store.get())) {
-      active->sync();
+      active->pipeline().sync();
     }
     if (cpu.mc() != nullptr) {
       cpu.mc()->flush();

@@ -2,9 +2,11 @@
 
 #include <arpa/inet.h>
 #include <fcntl.h>
+#include <linux/sockios.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -28,10 +30,29 @@ TcpTransport::~TcpTransport() {
 
 void TcpTransport::close_peer() {
   if (fd_ >= 0) {
-    // Read out input that already arrived: closing with unread input makes
-    // the kernel send RST and drop whatever it has not yet delivered to the
-    // peer, losing frames send() had accepted.
+    // Input that meets the close makes the kernel drop whatever it has not
+    // yet delivered to the peer, losing frames send() had accepted: input
+    // still unread at close() draws an immediate RST, and input arriving
+    // after it (the peer acking an earlier frame) aborts the orphaned
+    // connection. So wait, for a bounded time, until the peer has
+    // acknowledged every queued byte, reading out its input meanwhile, and
+    // read out once more before closing.
     std::uint8_t sink[4096];
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(1);
+    for (;;) {
+      int queued = 0;
+      if (::ioctl(fd_, SIOCOUTQ, &queued) != 0 || queued == 0) break;
+      if (std::chrono::steady_clock::now() >= deadline) break;
+      // No event fires when the send queue empties: re-check every
+      // millisecond unless input wakes us first.
+      pollfd pfd{fd_, POLLIN, 0};
+      const int ready = ::poll(&pfd, 1, 1);
+      if (ready < 0 && errno != EINTR) break;
+      if (ready <= 0) continue;
+      const ssize_t n = ::recv(fd_, sink, sizeof sink, MSG_DONTWAIT);
+      if (n == 0) break;  // the peer closed: it reads nothing further
+      if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) break;
+    }
     while (::recv(fd_, sink, sizeof sink, MSG_DONTWAIT) > 0) {
     }
     ::close(fd_);
@@ -78,12 +99,12 @@ bool TcpTransport::accept_peer(int timeout_ms) {
     pollfd pfd{listen_fd_, POLLIN, 0};
     const int ready = ::poll(&pfd, 1, wait_ms);
     if (ready == 0) {
-      error_ = Error::kTimeout;  // only a genuinely silent socket is a timeout
+      error_ = TransportError::kTimeout;  // only a genuinely silent socket is a timeout
       return false;
     }
     if (ready < 0) {
       if (errno == EINTR) continue;
-      error_ = Error::kClosed;  // real poll failure, distinct from kTimeout
+      error_ = TransportError::kClosed;  // real poll failure, distinct from kTimeout
       return false;
     }
     fd_ = ::accept(listen_fd_, nullptr, nullptr);
@@ -91,12 +112,12 @@ bool TcpTransport::accept_peer(int timeout_ms) {
     // The pending connection may have been aborted between poll and accept,
     // or the accept itself interrupted; both leave the listener healthy.
     if (errno == EINTR || errno == ECONNABORTED || errno == EAGAIN) continue;
-    error_ = Error::kClosed;
+    error_ = TransportError::kClosed;
     return false;
   }
   const int one = 1;
   ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-  error_ = Error::kNone;
+  error_ = TransportError::kNone;
   metrics::counter("net.transport.accepts").add(1);
   return true;
 }
@@ -129,7 +150,7 @@ bool TcpTransport::connect_to(const std::string& host, std::uint16_t port, int t
                               .count();
         if (left <= 0) {
           close_peer();
-          error_ = Error::kTimeout;
+          error_ = TransportError::kTimeout;
           return false;
         }
         pollfd pfd{fd_, POLLOUT, 0};
@@ -138,12 +159,12 @@ bool TcpTransport::connect_to(const std::string& host, std::uint16_t port, int t
         if (ready < 0) {
           if (errno == EINTR) continue;
           close_peer();
-          error_ = Error::kClosed;
+          error_ = TransportError::kClosed;
           return false;
         }
         if (ready == 0) {  // budget spent mid-handshake (blackholed peer)
           close_peer();
-          error_ = Error::kTimeout;
+          error_ = TransportError::kTimeout;
           return false;
         }
         int so_error = 0;
@@ -160,7 +181,7 @@ bool TcpTransport::connect_to(const std::string& host, std::uint16_t port, int t
       if (flags >= 0) ::fcntl(fd_, F_SETFL, flags & ~O_NONBLOCK);
       const int one = 1;
       ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-      error_ = Error::kNone;
+      error_ = TransportError::kNone;
       metrics::counter("net.transport.connects").add(1);
       return true;
     }
@@ -175,13 +196,8 @@ bool TcpTransport::connect_to(const std::string& host, std::uint16_t port, int t
         std::chrono::microseconds(50'000));
     ::usleep(static_cast<unsigned>(nap.count()));
   }
-  error_ = Error::kTimeout;
+  error_ = TransportError::kTimeout;
   return false;
-}
-
-std::vector<std::uint8_t> TcpTransport::encode_frame(MsgType type, std::uint64_t epoch,
-                                                     const void* payload, std::size_t len) {
-  return vrep::net::encode_frame(type, epoch, payload, len);
 }
 
 bool TcpTransport::send_bytes(const void* bytes, std::size_t len) {
@@ -192,13 +208,13 @@ bool TcpTransport::send_bytes(const void* bytes, std::size_t len) {
     const ssize_t wrote = ::send(fd_, p + sent, len - sent, MSG_NOSIGNAL);
     if (wrote < 0) {
       if (errno == EINTR) continue;
-      error_ = Error::kClosed;
+      error_ = TransportError::kClosed;
       return false;
     }
     if (wrote == 0) {
       // Peer closed. errno is stale here and must not be consulted — a
       // leftover EINTR from an earlier call would spin this loop forever.
-      error_ = Error::kClosed;
+      error_ = TransportError::kClosed;
       return false;
     }
     sent += static_cast<std::size_t>(wrote);
@@ -243,12 +259,12 @@ bool TcpTransport::send(MsgType type, std::uint64_t epoch, const void* payload,
     const ssize_t wrote = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
     if (wrote < 0) {
       if (errno == EINTR) continue;
-      error_ = Error::kClosed;
+      error_ = TransportError::kClosed;
       return false;
     }
     if (wrote == 0) {
       // Peer closed; errno is stale for a zero return (see send_bytes).
-      error_ = Error::kClosed;
+      error_ = TransportError::kClosed;
       return false;
     }
     sent += static_cast<std::size_t>(wrote);
@@ -281,22 +297,22 @@ bool TcpTransport::read_fully(void* buf, std::size_t len, std::size_t& got,
     pollfd pfd{fd_, POLLIN, 0};
     const int ready = ::poll(&pfd, 1, wait_ms);
     if (ready == 0) {
-      error_ = Error::kTimeout;
+      error_ = TransportError::kTimeout;
       return false;
     }
     if (ready < 0) {
       if (errno == EINTR) continue;
-      error_ = Error::kClosed;
+      error_ = TransportError::kClosed;
       return false;
     }
     const ssize_t n = ::read(fd_, p + got, len - got);
     if (n == 0) {
-      error_ = Error::kClosed;
+      error_ = TransportError::kClosed;
       return false;
     }
     if (n < 0) {
       if (errno == EINTR) continue;
-      error_ = Error::kClosed;
+      error_ = TransportError::kClosed;
       return false;
     }
     got += static_cast<std::size_t>(n);
@@ -305,7 +321,7 @@ bool TcpTransport::read_fully(void* buf, std::size_t len, std::size_t& got,
 }
 
 std::optional<Message> TcpTransport::recv(int timeout_ms) {
-  error_ = Error::kNone;
+  error_ = TransportError::kNone;
   // One overall deadline for this call's share of the frame (header +
   // payload); -1 waits forever, as before.
   std::optional<std::chrono::steady_clock::time_point> deadline;
@@ -323,7 +339,7 @@ std::optional<Message> TcpTransport::recv(int timeout_ms) {
     if (frame_header_crc(hdr) != hdr.header_crc || hdr.len > kMaxFramePayload) {
       // The length field cannot be trusted: framing is lost for good. Close
       // so the peer reconnects and the protocol layer resyncs via rejoin.
-      error_ = Error::kCorrupt;
+      error_ = TransportError::kCorrupt;
       metrics::counter("net.transport.corrupt_headers").add(1);
       close_peer();
       return std::nullopt;
@@ -339,7 +355,7 @@ std::optional<Message> TcpTransport::recv(int timeout_ms) {
   if (Crc32::of(msg.payload.data(), msg.payload.size()) != hdr.payload_crc) {
     // Payload bytes were consumed in full, so the stream stays aligned; the
     // receiver may skip this frame and resynchronise in-band.
-    error_ = Error::kCorrupt;
+    error_ = TransportError::kCorrupt;
     metrics::counter("net.transport.corrupt_payloads").add(1);
     return std::nullopt;
   }

@@ -13,11 +13,11 @@
 // fatal classes:
 //   * header_crc (over epoch, payload_len, type): if it fails, payload_len
 //     cannot be trusted and stream framing is lost — the transport closes
-//     the connection (Error::kCorrupt, then disconnected). Recovery is a
-//     reconnect + rejoin.
+//     the connection (TransportError::kCorrupt, then disconnected).
+//     Recovery is a reconnect + rejoin.
 //   * payload_crc: if it fails the frame was read in full, so the stream
 //     stays aligned — the receiver can skip the frame and resynchronise
-//     in-band (Error::kCorrupt, still connected).
+//     in-band (TransportError::kCorrupt, still connected).
 // CRC verification also makes torn frames (killed sender) detectable,
 // mirroring the simulated ring's checksummed commit markers.
 #pragma once
@@ -95,8 +95,6 @@ class Transport {
 // and integration tests run primary and backup as two local processes.
 class TcpTransport final : public Transport {
  public:
-  using Error = TransportError;  // legacy spelling (TcpTransport::Error)
-
   TcpTransport() = default;
   ~TcpTransport() override;
   TcpTransport(const TcpTransport&) = delete;
@@ -118,12 +116,7 @@ class TcpTransport final : public Transport {
   bool send(MsgType type, std::uint64_t epoch, const void* payload,
             std::size_t len) override;
   std::optional<Message> recv(int timeout_ms) override;
-  Error last_error() const override { return error_; }
-
-  // Encode one frame exactly as send() would put it on the wire (legacy
-  // spelling; the canonical encoder is net::encode_frame in frame.hpp).
-  static std::vector<std::uint8_t> encode_frame(MsgType type, std::uint64_t epoch,
-                                                const void* payload, std::size_t len);
+  TransportError last_error() const override { return error_; }
   bool send_bytes(const void* bytes, std::size_t len) override;
 
  private:
@@ -136,7 +129,7 @@ class TcpTransport final : public Transport {
   int listen_fd_ = -1;
   int fd_ = -1;
   std::uint16_t port_ = 0;
-  Error error_ = Error::kNone;
+  TransportError error_ = TransportError::kNone;
   // The frame being received (net/frame.hpp layout), kept across calls
   // whose deadline expires part way through it.
   std::uint8_t rx_hdr_[24] = {};

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstring>
 
+#include "core/v3_inline_log.hpp"
 #include "util/check.hpp"
 #include "util/metrics.hpp"
 
@@ -19,56 +20,19 @@ std::int64_t now_ms() {
 WirePrimary::WirePrimary(rio::Arena& arena, const core::StoreConfig& config,
                          Transport* transport, bool format, cluster::Membership* membership,
                          Lineage lineage, std::size_t redo_history_bytes)
-    : local_(std::make_unique<core::InlineLogStore>(bus_, arena, config, format)),
-      link_(transport),
-      pipeline_(static_cast<repl::RedoPipeline::Source&>(*this), &link_, membership, lineage,
-                redo_history_bytes) {
-  bus_.set_capture(local_->db(), local_->db_size(), this);
+    : ReplicatedStore(pass_through_bus, arena, config, format, membership, lineage,
+                      redo_history_bytes) {
+  add_link(std::make_unique<TransportLink>(transport));
 }
 
 std::size_t WirePrimary::add_backup(Transport* transport) {
-  extra_links_.push_back(std::make_unique<TransportLink>(transport));
-  return pipeline_.add_peer(extra_links_.back().get());
+  return add_link(std::make_unique<TransportLink>(transport));
 }
 
 void WirePrimary::attach_transport(std::size_t peer, Transport* transport) {
-  if (peer == 0) {
-    link_.attach(transport);
-    pipeline_.attach_link(0, &link_);
-    return;
-  }
-  TransportLink* link = extra_links_.at(peer - 1).get();
-  link->attach(transport);
-  pipeline_.attach_link(peer, link);
-}
-
-void WirePrimary::on_captured_store(std::uint64_t off, const void* src, std::size_t len) {
-  pipeline_.stage(off, src, len);
-}
-
-void WirePrimary::begin_transaction() {
-  pipeline_.begin();
-  local_->begin_transaction();
-}
-
-void WirePrimary::set_range(void* base, std::size_t len) { local_->set_range(base, len); }
-
-void WirePrimary::abort_transaction() {
-  local_->abort_transaction();
-  pipeline_.discard();
-}
-
-void WirePrimary::commit_transaction() {
-  local_->commit_transaction();
-  // Asynchronous group commit: defaults (W=1, G=1) ship and wait exactly
-  // like the old blocking commit; wider settings return once the in-flight
-  // window has room (wait()/sync() restore blocking semantics per ticket).
-  pipeline_.commit_async(local_->committed_seq());
-}
-
-int WirePrimary::recover() {
-  pipeline_.discard();
-  return local_->recover();
+  auto& carrier = static_cast<TransportLink&>(link(peer));
+  carrier.attach(transport);
+  pipeline().attach_link(peer, &carrier);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,10 +5,11 @@
 //
 // All protocol logic — sequencing, batching, the bounded redo history,
 // rejoin/delta-vs-full-image decisions, epoch fencing, 1-safe/2-safe commit
-// modes — lives in repl::RedoPipeline / repl::RedoApplier (repl/pipeline.hpp).
-// This file is pure composition: it binds the engine to a local Version 3
-// store (primary) or a replica arena (backup) and to a net::Transport via
-// net::TransportLink.
+// modes — lives in repl::RedoPipeline / repl::RedoApplier (repl/pipeline.hpp),
+// and the primary's store, capture and commit path in repl::ReplicatedStore
+// (repl/replicated_store.hpp). This file is pure composition: it binds the
+// primary to net::Transport carriers via net::TransportLink, and the backup's
+// applier to a replica arena and a receive loop.
 //
 // Frame payloads (all frames CRC-protected and epoch-stamped by the
 // transport; kinds in repl/link.hpp):
@@ -43,29 +44,32 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <vector>
 
 #include "cluster/failure_detector.hpp"
 #include "cluster/membership.hpp"
 #include "core/api.hpp"
-#include "core/v3_inline_log.hpp"
 #include "net/transport.hpp"
 #include "net/transport_link.hpp"
 #include "repl/pipeline.hpp"
+#include "repl/replicated_store.hpp"
 #include "rio/arena.hpp"
 #include "sim/mem_bus.hpp"
 
 namespace vrep::net {
 
-class WirePrimary final : public core::TransactionStore,
-                          private sim::MemBus::CaptureSink,
-                          private repl::RedoPipeline::Source {
- public:
-  static constexpr std::size_t kDefaultRedoHistoryBytes =
-      repl::RedoPipeline::kDefaultRedoHistoryBytes;
-  using Lineage = repl::RedoPipeline::Lineage;
-  using Stats = repl::RedoPipeline::Stats;
+namespace detail {
+// Base-from-member: the pass-through bus must exist before the
+// ReplicatedStore base that builds the local store on it.
+struct PassThroughBus {
+  sim::MemBus pass_through_bus;  // wall-clock deployment: no costs
+};
+}  // namespace detail
 
+// The replicated store over net::Transport carriers: one TransportLink per
+// backup. Everything else is repl::ReplicatedStore — reach the engine
+// through pipeline().
+class WirePrimary final : private detail::PassThroughBus, public repl::ReplicatedStore {
+ public:
   // The local store runs Version 3 on a pass-through bus over `arena`.
   // `format=false` attaches to existing state (e.g. an arena a promoted
   // backup built via WireBackup::promote) — call recover() afterwards.
@@ -74,105 +78,16 @@ class WirePrimary final : public core::TransactionStore,
   WirePrimary(rio::Arena& arena, const core::StoreConfig& config, Transport* transport,
               bool format, cluster::Membership* membership = nullptr,
               Lineage lineage = Lineage{0, 0},
-              std::size_t redo_history_bytes = kDefaultRedoHistoryBytes);
-
-  // Ship the current database image + sequence so (fresh) backups can join.
-  bool sync_backup() { return pipeline_.sync_backup(); }
+              std::size_t redo_history_bytes = repl::RedoPipeline::kDefaultRedoHistoryBytes);
 
   // Attach another backup over its own transport; returns the pipeline peer
   // index (the constructor's transport is peer 0).
   std::size_t add_backup(Transport* transport);
 
-  // Await a backup's kRejoinRequest after a (re)connect and serve it:
-  // a kRejoinDelta replay from the redo history when the gap is servable,
-  // a full image sync otherwise. Returns false on timeout/disconnect or if
-  // this primary has been fenced.
-  bool handle_rejoin(int timeout_ms) { return pipeline_.handle_rejoin(timeout_ms); }
-  bool handle_rejoin(std::size_t peer, int timeout_ms) {
-    return pipeline_.handle_rejoin(peer, timeout_ms);
-  }
-
   // Point a peer at a new transport after a reconnect (same or different
   // object).
   void attach_transport(Transport* transport) { attach_transport(0, transport); }
   void attach_transport(std::size_t peer, Transport* transport);
-
-  // 2-safe commits (off by default, matching the paper's 1-safe design).
-  void set_two_safe(bool enabled) { pipeline_.set_two_safe(enabled); }
-  bool two_safe() const { return pipeline_.two_safe(); }
-  // Acks required for a 2-safe commit to count as quorum-durable (default 1).
-  void set_quorum(unsigned k) { pipeline_.set_quorum(k); }
-  unsigned quorum() const { return pipeline_.quorum(); }
-  repl::RedoPipeline::CommitOutcome last_commit_outcome() const {
-    return pipeline_.last_commit_outcome();
-  }
-
-  // Incremental fuzzy checkpointing (strictly opt-in; see repl/pipeline.hpp):
-  // truncates redo history at each watermark and lets laggards past the
-  // history window rejoin via checkpoint+delta instead of a full image.
-  void enable_checkpoints(std::uint64_t interval_txns,
-                          std::size_t copy_bytes_per_commit = 256 * 1024) {
-    pipeline_.enable_checkpoints(interval_txns, copy_bytes_per_commit);
-  }
-  bool checkpoints_enabled() const { return pipeline_.checkpoints_enabled(); }
-
-  // Group commit with a bounded in-flight window (see repl/pipeline.hpp).
-  // Defaults (W=1, G=1) reproduce the classic per-commit behavior exactly.
-  void set_commit_window(unsigned w) { pipeline_.set_commit_window(w); }
-  unsigned commit_window() const { return pipeline_.commit_window(); }
-  void set_group_size(unsigned g) { pipeline_.set_group_size(g); }
-  unsigned group_size() const { return pipeline_.group_size(); }
-  // Flush any buffered group and resolve every outstanding ticket.
-  repl::RedoPipeline::CommitOutcome sync() { return pipeline_.sync(); }
-  repl::RedoPipeline::CommitOutcome wait(repl::RedoPipeline::CommitTicket t) {
-    return pipeline_.wait(t);
-  }
-
-  void begin_transaction() override;
-  void set_range(void* base, std::size_t len) override;
-  void commit_transaction() override;
-  void abort_transaction() override;
-  int recover() override;
-  bool validate() const override { return local_->validate(); }
-  void flush_initial_state() override { local_->flush_initial_state(); }
-  core::VersionKind kind() const override { return core::VersionKind::kV3InlineLog; }
-  std::uint8_t* db() override { return local_->db(); }
-  const std::uint8_t* db() const override { return local_->db(); }
-  std::size_t db_size() const override { return local_->db_size(); }
-  std::uint64_t committed_seq() const override { return local_->committed_seq(); }
-  std::vector<core::StoreRegion> regions() const override { return local_->regions(); }
-  sim::MemBus& bus() override { return bus_; }
-
-  const Stats& stats() const { return pipeline_.stats(); }
-
-  bool send_heartbeat() { return pipeline_.send_heartbeat(); }
-  bool connection_alive() const { return pipeline_.connection_alive(); }
-  // A newer epoch fenced us: stop acting as primary (demote + rejoin).
-  bool fenced() const { return pipeline_.fenced(); }
-  // The epoch that fenced us (valid when fenced() is true); feed it to
-  // cluster::Membership::demote_to_backup.
-  std::uint64_t fenced_by_epoch() const { return pipeline_.fenced_by_epoch(); }
-  std::uint64_t epoch() const { return pipeline_.epoch(); }
-  // Highest applied sequence any backup has acknowledged (drained on
-  // commit); per-peer watermarks via peer_acked_seq().
-  std::uint64_t backup_acked_seq() const { return pipeline_.backup_acked_seq(); }
-  std::uint64_t quorum_acked_seq() const { return pipeline_.quorum_acked_seq(); }
-  std::size_t peer_count() const { return pipeline_.peer_count(); }
-  bool peer_alive(std::size_t peer) const { return pipeline_.peer_alive(peer); }
-  std::uint64_t peer_acked_seq(std::size_t peer) const { return pipeline_.peer_acked_seq(peer); }
-
-  // Protocol engine (shared with the simulated backend) — direct access for
-  // tests and drivers.
-  repl::RedoPipeline& pipeline() { return pipeline_; }
-
- private:
-  void on_captured_store(std::uint64_t off, const void* src, std::size_t len) override;
-
-  sim::MemBus bus_;  // pass-through (wall-clock deployment)
-  std::unique_ptr<core::InlineLogStore> local_;
-  TransportLink link_;
-  std::vector<std::unique_ptr<TransportLink>> extra_links_;
-  repl::RedoPipeline pipeline_;
 };
 
 // Backup-side replica state: a database image plus the applied sequence.
@@ -180,8 +95,6 @@ class WirePrimary final : public core::TransactionStore,
 // arena as the apply target and runs the receive loop.
 class WireBackup : private repl::RedoApplier::Target {
  public:
-  using Stats = repl::RedoApplier::Stats;
-
   // `arena` must hold at least the hello'd db_size bytes (file-backed in the
   // failover example so the image survives the process). With a
   // `membership`, stale-epoch frames are fenced and the epoch follows the
@@ -224,19 +137,12 @@ class WireBackup : private repl::RedoApplier::Target {
     return applier_.request_rejoin(link);
   }
 
-  // Seed the replica from an existing database image (e.g. a demoted
-  // primary rejoining with its own last state), so rejoin can catch up
-  // incrementally instead of re-shipping the whole database. `state_epoch`
-  // is the epoch under which that state was produced — the primary uses it
-  // to decide whether a delta is safe.
-  void seed(const std::uint8_t* db, std::size_t size, std::uint64_t applied_seq,
-            std::uint64_t state_epoch) {
-    applier_.seed(db, size, applied_seq, state_epoch);
-  }
-
-  // Protocol engine (shared with the simulated backend) — direct access for
-  // tests, drivers and in-doubt resolution at takeover.
+  // Protocol engine (shared with the simulated backend): seeding from a
+  // demoted primary's image, stats, state epoch and in-doubt resolution at
+  // takeover. Its unlocked reads are quiesced-only (serve() stopped or same
+  // thread).
   repl::RedoApplier& applier() { return applier_; }
+  const repl::RedoApplier& applier() const { return applier_; }
 
   // ---- thread-safe snapshot reads ----------------------------------------
   // serve() applies each frame under the same lock these take, so a read
@@ -256,12 +162,9 @@ class WireBackup : private repl::RedoApplier::Target {
     return applier_.applied_seq();
   }
 
+  // perfbench/ calls this one on WireBackup; it stays as a member.
   std::uint64_t applied_seq() const { return applier_.applied_seq(); }
-  // Epoch under which the last applied state (image or batch) was produced.
-  std::uint64_t state_epoch() const { return applier_.state_epoch(); }
-  std::size_t db_size() const { return applier_.db_size(); }
   const std::uint8_t* db() const { return arena_->data(); }
-  const Stats& stats() const { return applier_.stats(); }
 
   // Promote to a standalone primary: build a fresh Version 3 store in
   // `new_arena` seeded with the replica's database image. The store

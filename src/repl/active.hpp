@@ -8,13 +8,13 @@
 // writes its consumer cursor back; the primary blocks only if the ring
 // fills.
 //
-// Protocol logic (sequencing, batch encoding, epoch fencing, 1-safe/2-safe
-// commits, rejoin decisions) lives in repl::RedoPipeline / repl::RedoApplier
-// (pipeline.hpp) — the same engine the TCP and loopback deployments use.
-// This file supplies the simulated Memory Channel specifics: ActivePrimary
-// composes the engine over a McRingLink (mc_ring_link.hpp), and
-// ActiveBackup decodes the ring wire format, charging its own cache model,
-// before handing decoded batches to its RedoApplier.
+// The primary is a ReplicatedStore (replicated_store.hpp): the local store,
+// the write capture and the protocol engine (pipeline.hpp) are the ones the
+// TCP and loopback deployments use. This file supplies the simulated Memory
+// Channel specifics: ActivePrimary carves one ring shadow per backup and
+// ships over a McRingLink (mc_ring_link.hpp), and ActiveBackup decodes the
+// ring wire format, charging its own cache model, before handing decoded
+// batches to its RedoApplier.
 //
 // In the simulated environment the backup is co-simulated deterministically:
 // after each commit the primary polls the backup with the virtual time at
@@ -28,15 +28,13 @@
 #include <cstdint>
 #include <deque>
 #include <limits>
-#include <memory>
-#include <vector>
 
 #include "cluster/membership.hpp"
 #include "core/api.hpp"
-#include "core/v3_inline_log.hpp"
 #include "repl/mc_ring_link.hpp"
 #include "repl/pipeline.hpp"
 #include "repl/redo_ring.hpp"
+#include "repl/replicated_store.hpp"
 #include "rio/arena.hpp"
 #include "sim/node.hpp"
 
@@ -68,7 +66,6 @@ class ActiveBackup : private RedoApplier::Target {
   void poll(sim::SimTime t);
 
   std::uint64_t consumer() const { return consumer_; }
-  std::uint64_t applied_seq() const { return applier_.applied_seq(); }
 
   // Flow control as the *primary* experiences it: after applying a batch the
   // backup writes its cursor through to the primary, which therefore sees
@@ -125,23 +122,20 @@ class ActiveBackup : private RedoApplier::Target {
   mutable std::uint64_t last_visible_seq_ = 0;
 };
 
-// Decorator around an InlineLogStore: same TransactionStore interface (so
-// workloads run unchanged), plus redo shipping at commit via the shared
-// RedoPipeline engine over a McRingLink.
-class ActivePrimary final : public core::TransactionStore,
-                            private sim::MemBus::CaptureSink,
-                            private RedoPipeline::Source {
+// The replicated store over co-simulated Memory Channel rings: one ring
+// shadow and one McRingLink per backup. Everything else is ReplicatedStore.
+class ActivePrimary final : public ReplicatedStore {
  public:
   // `primary_arena` hosts the local V3 store plus the local halves of the
   // doubled ring writes; `backup` owns the replica arena whose ring region
   // is reached through `bus`'s MC interface. With a `membership`, shipped
-  // batches carry its epoch and a takeover elsewhere fences this primary
-  // (fenced()); `lineage` seeds the rejoin delta-vs-full-image rule for a
-  // primary promoted from backup.
+  // batches carry its epoch and a takeover elsewhere fences this primary;
+  // `lineage` seeds the rejoin delta-vs-full-image rule for a primary
+  // promoted from backup.
   ActivePrimary(sim::MemBus& bus, rio::Arena& primary_arena, rio::Arena& backup_arena,
                 const core::StoreConfig& config, const ActiveBackupLayout& layout,
                 ActiveBackup* backup, bool format, cluster::Membership* membership = nullptr,
-                RedoPipeline::Lineage lineage = RedoPipeline::Lineage{0, 0});
+                Lineage lineage = Lineage{0, 0});
 
   // Attach another co-simulated backup: a further ring shadow is carved out
   // of the primary arena (size it with the multi-backup
@@ -149,69 +143,10 @@ class ActivePrimary final : public core::TransactionStore,
   // region. Returns the pipeline peer index. All backups share `layout`.
   std::size_t add_backup(rio::Arena& backup_arena, ActiveBackup* backup);
 
-  // Acks required for a 2-safe commit to count as quorum-durable (default 1).
-  void set_quorum(unsigned k) { pipeline_.set_quorum(k); }
-  unsigned quorum() const { return pipeline_.quorum(); }
-  RedoPipeline::CommitOutcome last_commit_outcome() const {
-    return pipeline_.last_commit_outcome();
-  }
-
-  // Install an existing database image and continue its sequence numbering
-  // (promotion of a co-simulated backup to primary).
-  void seed_from(const std::uint8_t* db, std::size_t size, std::uint64_t seq);
-
-  // 2-safe commit (extension beyond the paper's 1-safe design): commit does
-  // not return until the backup has durably applied the transaction and its
-  // acknowledgment has reached the primary. Closes the window of
-  // vulnerability at the price of one round trip per commit.
-  void set_two_safe(bool enabled) { pipeline_.set_two_safe(enabled); }
-  bool two_safe() const { return pipeline_.two_safe(); }
-  sim::SimTime two_safe_wait_ns() const;
-
-  // Incremental fuzzy checkpointing (strictly opt-in; see repl/pipeline.hpp):
-  // the commit path advances a background image copy, each completed
-  // watermark truncates redo history, and laggard rejoins are served
-  // checkpoint+delta instead of a full image.
-  void enable_checkpoints(std::uint64_t interval_txns,
-                          std::size_t copy_bytes_per_commit = 256 * 1024) {
-    pipeline_.enable_checkpoints(interval_txns, copy_bytes_per_commit);
-  }
-  bool checkpoints_enabled() const { return pipeline_.checkpoints_enabled(); }
-
-  // Group commit with a bounded in-flight window (see repl/pipeline.hpp):
-  // up to G commits coalesce into one ring unit and up to W shipped
-  // sequences may await acks before commit_transaction blocks. Defaults
-  // (W=1, G=1) reproduce the classic blocking commit byte-for-byte.
-  void set_commit_window(unsigned w) { pipeline_.set_commit_window(w); }
-  unsigned commit_window() const { return pipeline_.commit_window(); }
-  void set_group_size(unsigned g) { pipeline_.set_group_size(g); }
-  unsigned group_size() const { return pipeline_.group_size(); }
-  // Flush any buffered group and resolve every outstanding ticket.
-  RedoPipeline::CommitOutcome sync() { return pipeline_.sync(); }
-  RedoPipeline::CommitOutcome wait(RedoPipeline::CommitTicket t) { return pipeline_.wait(t); }
-
-  void begin_transaction() override;
-  void set_range(void* base, std::size_t len) override;
-  void commit_transaction() override;
-  void abort_transaction() override;
-  int recover() override;
-  bool validate() const override { return local_->validate(); }
-  core::VersionKind kind() const override { return core::VersionKind::kV3InlineLog; }
-  std::uint8_t* db() override { return local_->db(); }
-  const std::uint8_t* db() const override { return local_->db(); }
-  std::size_t db_size() const override { return local_->db_size(); }
-  std::uint64_t committed_seq() const override { return local_->committed_seq(); }
-  std::vector<core::StoreRegion> regions() const override { return local_->regions(); }
-  sim::MemBus& bus() override { return *bus_; }
-
+  // Virtual time the CPU spent blocked on a full ring, and in 2-safe waits
+  // for a cursor write-back, summed over every backup's ring.
   sim::SimTime flow_stall_ns() const;
-
-  // Epoch fencing (shared engine state; see repl/pipeline.hpp).
-  bool fenced() const { return pipeline_.fenced(); }
-  std::uint64_t fenced_by_epoch() const { return pipeline_.fenced_by_epoch(); }
-  std::uint64_t epoch() const { return pipeline_.epoch(); }
-  const RedoPipeline::Stats& stats() const { return pipeline_.stats(); }
-  RedoPipeline& pipeline() { return pipeline_; }
+  sim::SimTime two_safe_wait_ns() const;
 
   // Arena size for a primary shipping to `backups` co-simulated backups
   // (one ring shadow each).
@@ -220,15 +155,12 @@ class ActivePrimary final : public core::TransactionStore,
                                          std::size_t backups = 1);
 
  private:
-  void on_captured_store(std::uint64_t off, const void* src, std::size_t len) override;
+  const McRingLink& ring(std::size_t peer) const {
+    return static_cast<const McRingLink&>(link(peer));
+  }
 
-  sim::MemBus* bus_;
   rio::Arena* primary_arena_;
   ActiveBackupLayout layout_;
-  std::unique_ptr<core::InlineLogStore> local_;
-  McRingLink link_;
-  std::vector<std::unique_ptr<McRingLink>> extra_links_;
-  RedoPipeline pipeline_;
 };
 
 }  // namespace vrep::repl

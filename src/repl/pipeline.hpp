@@ -125,8 +125,10 @@ class RedoPipeline {
     std::uint64_t takeover_floor = 0;
   };
 
-  // The committed state the pipeline replicates; implemented by the owning
-  // store wrapper (ActivePrimary, WirePrimary).
+  // The committed state the pipeline replicates, implemented by whatever
+  // owns it: ReplicatedStore (the active primary's V3 store, under every
+  // carrier), SmpExecutor (its gathered partitions) and each ShardedCluster
+  // shard.
   struct Source {
     virtual const std::uint8_t* db() const = 0;
     virtual std::size_t db_size() const = 0;

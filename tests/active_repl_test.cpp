@@ -79,7 +79,7 @@ TEST(ActiveRepl, BackupDatabaseTracksCommittedState) {
   pair.primary.cpu().mc()->flush();
   pair.backup->poll(pair.fabric.link().free_at + pair.cost.link.propagation_ns);
 
-  EXPECT_EQ(pair.backup->applied_seq(), 100u);
+  EXPECT_EQ(pair.backup->applier().applied_seq(), 100u);
   EXPECT_EQ(std::memcmp(pair.backup->db(), pair.store->db(), config.db_size), 0);
 }
 
@@ -91,7 +91,7 @@ TEST(ActiveRepl, BackupLagsAtMostTheWriteBufferWindow) {
     // Without explicit flushes the trailing commit marker may still sit in a
     // write buffer, so the backup can lag — but never by more than a couple
     // of transactions' worth of buffered bytes.
-    EXPECT_GE(pair.backup->applied_seq() + 3, pair.store->committed_seq());
+    EXPECT_GE(pair.backup->applier().applied_seq() + 3, pair.store->committed_seq());
   }
 }
 
@@ -111,7 +111,7 @@ TEST(ActiveRepl, AbortShipsNothing) {
   pair.primary.cpu().mc()->flush();
   pair.backup->poll(pair.fabric.link().free_at + pair.cost.link.propagation_ns);
 
-  EXPECT_EQ(pair.backup->applied_seq(), 2u);
+  EXPECT_EQ(pair.backup->applier().applied_seq(), 2u);
   EXPECT_EQ(std::memcmp(pair.backup->db(), pair.store->db(), config.db_size), 0)
       << "aborted writes must not reach the backup database";
 }
@@ -124,7 +124,7 @@ TEST(ActiveRepl, RingWrapsAndPadsCorrectly) {
   pair.primary.cpu().mc()->flush();
   pair.backup->poll(pair.fabric.link().free_at + pair.cost.link.propagation_ns);
 
-  EXPECT_EQ(pair.backup->applied_seq(), 300u);
+  EXPECT_EQ(pair.backup->applier().applied_seq(), 300u);
   EXPECT_EQ(std::memcmp(pair.backup->db(), pair.store->db(), config.db_size), 0);
 }
 
@@ -134,7 +134,7 @@ TEST(ActiveRepl, PrimaryBlocksWhenRingFills) {
   for (int i = 0; i < 50; ++i) run_txn(*pair.store, 40 + static_cast<std::uint64_t>(i), 4);
   pair.primary.cpu().mc()->flush();
   pair.backup->poll(pair.fabric.link().free_at + pair.cost.link.propagation_ns);
-  EXPECT_EQ(pair.backup->applied_seq(), 50u);
+  EXPECT_EQ(pair.backup->applier().applied_seq(), 50u);
   EXPECT_EQ(std::memcmp(pair.backup->db(), pair.store->db(), config.db_size), 0);
   EXPECT_GT(pair.store->flow_stall_ns(), 0) << "a 1 KB ring must have caused blocking";
 }
@@ -221,8 +221,8 @@ TEST(ActiveFencing, StaleEpochPrimaryIsFencedWithoutTouchingBackup) {
   for (int i = 0; i < 20; ++i) run_txn(*pair.store, 5000 + static_cast<std::uint64_t>(i));
   pair.primary.cpu().mc()->flush();
   pair.backup->poll(pair.fabric.link().free_at + pair.cost.link.propagation_ns);
-  ASSERT_EQ(pair.backup->applied_seq(), 20u);
-  ASSERT_FALSE(pair.store->fenced());
+  ASSERT_EQ(pair.backup->applier().applied_seq(), 20u);
+  ASSERT_FALSE(pair.store->pipeline().fenced());
 
   // Primary stalls; the backup declares it dead and takes over in epoch 2.
   mem_b.take_over();
@@ -234,13 +234,13 @@ TEST(ActiveFencing, StaleEpochPrimaryIsFencedWithoutTouchingBackup) {
   // stale frame through the backup's applier, whose kEpochFence reply the
   // commit's drain picks up).
   run_txn(*pair.store, 6000);
-  EXPECT_TRUE(pair.store->fenced());
-  EXPECT_EQ(pair.store->fenced_by_epoch(), 2u);
+  EXPECT_TRUE(pair.store->pipeline().fenced());
+  EXPECT_EQ(pair.store->pipeline().fenced_by_epoch(), 2u);
   EXPECT_GT(pair.backup->applier().stats().stale_fenced, 0u);
 
   // Further stale commits stay local; nothing reaches the promoted node.
   for (int i = 0; i < 5; ++i) run_txn(*pair.store, 6001 + static_cast<std::uint64_t>(i));
-  EXPECT_EQ(pair.backup->applied_seq(), 20u);
+  EXPECT_EQ(pair.backup->applier().applied_seq(), 20u);
   EXPECT_EQ(Crc32::of(pair.backup->db(), config.db_size), crc_at_takeover)
       << "stale-epoch traffic mutated the promoted backup's image";
   EXPECT_GT(pair.store->committed_seq(), 20u) << "the fenced primary diverged locally";
@@ -248,7 +248,7 @@ TEST(ActiveFencing, StaleEpochPrimaryIsFencedWithoutTouchingBackup) {
   // The fenced primary demotes itself into the fencing epoch, ready to
   // rejoin as a backup; the engine's lineage rule (decide_rejoin) would
   // refuse it a delta past the takeover floor.
-  mem_p.demote_to_backup(pair.store->fenced_by_epoch());
+  mem_p.demote_to_backup(pair.store->pipeline().fenced_by_epoch());
   EXPECT_FALSE(mem_p.is_primary());
   EXPECT_EQ(mem_p.view().epoch, 2u);
   EXPECT_EQ(pair.store->pipeline().decide_rejoin(pair.store->committed_seq(), 1),

@@ -137,12 +137,12 @@ TEST(ChaosSoak, SurvivorMatchesFaultFreeOracle) {
   // attempt per call; commits never wait on the link (1-safe).
   auto ensure_link = [&](int other) {
     WirePrimary& p = *node[cur].primary;
-    if (p.connection_alive()) return;
+    if (p.pipeline().connection_alive()) return;
     const auto delay = backoff.next_delay_ms();
     usleep(static_cast<useconds_t>(*delay * 1000));
     if (node[cur].dial.connect_to("127.0.0.1", node[other].listener.bound_port(), 300)) {
       p.attach_transport(node[cur].chaos.get());
-      if (p.handle_rejoin(1'500)) backoff.reset();
+      if (p.pipeline().handle_rejoin(1'500)) backoff.reset();
     }
   };
 
@@ -167,7 +167,7 @@ TEST(ChaosSoak, SurvivorMatchesFaultFreeOracle) {
   std::uint64_t last_served_at_seq = 0;
   int reads_ok = 0;
   auto audit_read = [&] {
-    const std::uint64_t min_seq = node[cur].primary->backup_acked_seq();
+    const std::uint64_t min_seq = node[cur].primary->pipeline().backup_acked_seq();
     if (min_seq == 0) return;  // rejoin handshake not done in this epoch yet
     std::uint8_t out[64];
     const repl::RedoApplier::ReadResult r =
@@ -188,10 +188,10 @@ TEST(ChaosSoak, SurvivorMatchesFaultFreeOracle) {
     ensure_link(cur ^ 1);
     while (next_seq <= static_cast<std::uint64_t>(phase_end)) {
       snap[next_seq] = rng;
-      if (!node[cur].primary->connection_alive()) ensure_link(cur ^ 1);
+      if (!node[cur].primary->pipeline().connection_alive()) ensure_link(cur ^ 1);
       bank.run_txn(*node[cur].primary, rng);
       ++next_seq;
-      if (next_seq % 16 == 0) node[cur].primary->send_heartbeat();
+      if (next_seq % 16 == 0) node[cur].primary->pipeline().send_heartbeat();
       if (next_seq % 8 == 0) audit_read();
     }
     // Also snapshot the state *after* the phase's last transaction: if the
@@ -212,7 +212,7 @@ TEST(ChaosSoak, SurvivorMatchesFaultFreeOracle) {
     takeover_seqs.push_back(takeover_seq);
     ASSERT_LE(takeover_seq, node[dead].primary->committed_seq());
     ASSERT_GT(takeover_seq, 0u);
-    const std::uint64_t shared_epoch = node[heir].backup->state_epoch();
+    const std::uint64_t shared_epoch = node[heir].backup->applier().state_epoch();
 
     // Takeover mid-read: a client caught between the kill and the
     // promotion. Its ticket at the heir's watermark is served exactly
@@ -257,14 +257,14 @@ TEST(ChaosSoak, SurvivorMatchesFaultFreeOracle) {
     // it rejoins from its own last applied state. Its divergent 1-safe tail
     // (committed locally, never replicated) makes the new primary ship a
     // full image; had it died exactly in sync, a delta would do.
-    const std::uint64_t dead_epoch = node[dead].primary->epoch();
+    const std::uint64_t dead_epoch = node[dead].primary->pipeline().epoch();
     node[dead].membership = std::make_unique<cluster::Membership>(dead, cluster::Role::kBackup);
     node[dead].replica_arena = std::make_unique<rio::Arena>(rio::Arena::create(kDbSize));
     node[dead].backup =
         std::make_unique<WireBackup>(*node[dead].replica_arena, node[dead].membership.get(),
                                      static_cast<std::uint64_t>(dead));
-    node[dead].backup->seed(node[dead].primary->db(), kDbSize,
-                            node[dead].primary->committed_seq(), dead_epoch);
+    node[dead].backup->applier().seed(node[dead].primary->db(), kDbSize,
+                                      node[dead].primary->committed_seq(), dead_epoch);
     node[dead].primary.reset();
     node[dead].store_arena.reset();
     server = std::thread(backup_session, node[dead].backup.get(), &node[dead].listener, dead);
@@ -281,14 +281,14 @@ TEST(ChaosSoak, SurvivorMatchesFaultFreeOracle) {
   // ---- Converge: heartbeats carry the committed sequence, so a trailing
   // gap triggers the backup's in-band resync; keep nudging (and healing the
   // link) until it acknowledges everything.
-  for (int i = 0;
-       i < 8'000 && node[cur].primary->backup_acked_seq() < static_cast<std::uint64_t>(kTxns);
+  for (int i = 0; i < 8'000 && node[cur].primary->pipeline().backup_acked_seq() <
+                                   static_cast<std::uint64_t>(kTxns);
        ++i) {
-    if (!node[cur].primary->connection_alive()) ensure_link(cur ^ 1);
-    node[cur].primary->send_heartbeat();
+    if (!node[cur].primary->pipeline().connection_alive()) ensure_link(cur ^ 1);
+    node[cur].primary->pipeline().send_heartbeat();
     usleep(1'000);
   }
-  EXPECT_EQ(node[cur].primary->backup_acked_seq(), static_cast<std::uint64_t>(kTxns));
+  EXPECT_EQ(node[cur].primary->pipeline().backup_acked_seq(), static_cast<std::uint64_t>(kTxns));
   node[cur].chaos->close_peer();
   server.join();
   total_faults += node[cur].chaos->stats().faults();
@@ -431,16 +431,16 @@ void run_wire_cascade(OwnedPair (*make_pair)()) {
   WireBackup b2(rep2, &mem2, 2);
   std::thread t1(cascade_session, &b1, link1.backup_end);
   std::thread t2(cascade_session, &b2, link2.backup_end);
-  ASSERT_TRUE(p0.handle_rejoin(0, 5'000));
-  ASSERT_TRUE(p0.handle_rejoin(1, 5'000));
+  ASSERT_TRUE(p0.pipeline().handle_rejoin(0, 5'000));
+  ASSERT_TRUE(p0.pipeline().handle_rejoin(1, 5'000));
 
   p0.set_two_safe(true);
-  p0.set_quorum(2);
+  p0.pipeline().set_quorum(2);
   Rng rng(kWorkloadSeed);
   for (int i = 0; i < kCascadeKill1; ++i) bank.run_txn(p0, rng);
   ASSERT_EQ(p0.last_commit_outcome(), repl::RedoPipeline::CommitOutcome::kQuorumDurable);
-  ASSERT_EQ(p0.quorum_acked_seq(), static_cast<std::uint64_t>(kCascadeKill1));
-  ASSERT_EQ(p0.stats().two_safe_degraded, 0u);
+  ASSERT_EQ(p0.pipeline().quorum_acked_seq(), static_cast<std::uint64_t>(kCascadeKill1));
+  ASSERT_EQ(p0.pipeline().stats().two_safe_degraded, 0u);
 
   // ---- Kill the primary. Quorum-2 2-safety means ZERO loss window: both
   // backups hold every committed transaction.
@@ -455,7 +455,7 @@ void run_wire_cascade(OwnedPair (*make_pair)()) {
   // view (node 1) is promoted; node 2 rejoins it (a no-op delta, not an
   // image — they share lineage and nothing was lost).
   const std::uint64_t takeover_seq = b1.applied_seq();
-  const std::uint64_t shared_epoch = b1.state_epoch();
+  const std::uint64_t shared_epoch = b1.applier().state_epoch();
   mem1.take_over();
   OwnedPair link3 = make_pair();
   rio::Arena arena1 =
@@ -469,15 +469,15 @@ void run_wire_cascade(OwnedPair (*make_pair)()) {
                  WirePrimary::Lineage{shared_epoch, takeover_seq});
   p1.recover();
   std::thread t3(cascade_session, &b2, link3.backup_end);
-  ASSERT_TRUE(p1.handle_rejoin(0, 5'000));
-  EXPECT_EQ(p1.stats().deltas_served, 1u);
-  EXPECT_EQ(p1.stats().full_syncs_served, 0u);
+  ASSERT_TRUE(p1.pipeline().handle_rejoin(0, 5'000));
+  EXPECT_EQ(p1.pipeline().stats().deltas_served, 1u);
+  EXPECT_EQ(p1.pipeline().stats().full_syncs_served, 0u);
 
   // ---- Phase 2: the promoted pair continues 2-safe (quorum 1 == classic).
   p1.set_two_safe(true);
   for (int i = kCascadeKill1; i < kCascadeKill2; ++i) bank.run_txn(p1, rng);
   ASSERT_EQ(p1.committed_seq(), static_cast<std::uint64_t>(kCascadeKill2));
-  ASSERT_EQ(p1.quorum_acked_seq(), static_cast<std::uint64_t>(kCascadeKill2));
+  ASSERT_EQ(p1.pipeline().quorum_acked_seq(), static_cast<std::uint64_t>(kCascadeKill2));
 
   // ---- Kill the promoted primary too (cascading failure). The last
   // survivor promotes to a standalone store and finishes the run.

@@ -297,7 +297,7 @@ struct Topology {
                                                     layout, backup.get(), /*format=*/true);
     primary->set_two_safe(true);
     primary->set_commit_window(kWindow);
-    primary->set_group_size(kGroup);
+    primary->pipeline().set_group_size(kGroup);
     std::memcpy(backup->db(), primary->db(), config.db_size);
   }
 };
@@ -389,7 +389,7 @@ TEST(CheckpointCrashTest, CrashMidCheckpointNeverPerturbsTheSurvivor) {
   std::uint64_t total_writes = 0;
   {
     Topology t;
-    t.primary->enable_checkpoints(kCkptInterval, kCkptCopyBytes);
+    t.primary->pipeline().enable_checkpoints(kCkptInterval, kCkptCopyBytes);
     crc_at.push_back(Crc32::of(t.primary->db(), t.config.db_size));
     rio::CrashInjector counter;
     t.pnode->cpu().bus().set_write_hook(&counter);
@@ -411,7 +411,7 @@ TEST(CheckpointCrashTest, CrashMidCheckpointNeverPerturbsTheSurvivor) {
     const std::uint64_t crash_at = 1 + (total_writes - 2) * static_cast<std::uint64_t>(i) /
                                            static_cast<std::uint64_t>(kSweepPoints);
     Topology t;
-    t.primary->enable_checkpoints(kCkptInterval, kCkptCopyBytes);
+    t.primary->pipeline().enable_checkpoints(kCkptInterval, kCkptCopyBytes);
     rio::CrashInjector injector;
     t.pnode->cpu().bus().set_write_hook(&injector);
     injector.arm(crash_at);

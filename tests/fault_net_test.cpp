@@ -7,6 +7,7 @@
 
 #include <cstring>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cluster/membership.hpp"
@@ -40,6 +41,33 @@ struct LoopbackPair {
   bool client_ok = false;
 };
 
+// A backup's serve() loop on its own thread, joined on every exit path. When
+// a failing ASSERT leaves the test body early, the destructor closes the
+// primary's end of the connection, so serve() returns, and joins: the
+// failure reports as that one test's failure, where a joinable std::thread
+// would std::terminate the binary and hide every later result.
+class ServeThread {
+ public:
+  template <typename Fn>
+  ServeThread(Transport& primary_end, Fn&& serve)
+      : primary_end_(&primary_end), thread_(std::forward<Fn>(serve)) {}
+  ServeThread(const ServeThread&) = delete;
+  ServeThread& operator=(const ServeThread&) = delete;
+  ~ServeThread() {
+    if (!thread_.joinable()) return;
+    primary_end_->close_peer();
+    thread_.join();
+  }
+
+  // Wait for serve() to return (the test ended the stream, or the backup
+  // declared the primary failed).
+  void join() { thread_.join(); }
+
+ private:
+  Transport* primary_end_;
+  std::thread thread_;
+};
+
 // One random transaction writing `range_bytes` at a random offset. The redo
 // batch ships the captured bus writes, so range_bytes also sets the batch
 // (and wire frame) size.
@@ -58,11 +86,11 @@ void commit_random_txn(WirePrimary& primary, Rng& rng, std::size_t db_size,
 // Heartbeats both carry the primary's committed sequence (so the backup can
 // detect trailing gaps and resync) and drain the backup's acks.
 bool await_ack(WirePrimary& primary, std::uint64_t seq, int max_iters = 3000) {
-  for (int i = 0; i < max_iters && primary.backup_acked_seq() < seq; ++i) {
-    primary.send_heartbeat();
+  for (int i = 0; i < max_iters && primary.pipeline().backup_acked_seq() < seq; ++i) {
+    primary.pipeline().send_heartbeat();
     usleep(1000);
   }
-  return primary.backup_acked_seq() >= seq;
+  return primary.pipeline().backup_acked_seq() >= seq;
 }
 
 TEST(FaultInjector, ScheduleIsDeterministicPerSeed) {
@@ -145,7 +173,7 @@ TEST(FaultInjector, DroppedAndDuplicatedBatchesResyncInBand) {
   WirePrimary primary(arena, config, &chaos, /*format=*/true);
   rio::Arena replica = rio::Arena::create(config.db_size);
   WireBackup backup(replica);
-  std::thread backup_thread([&] { backup.serve(pair.server, 4000); });
+  ServeThread backup_thread(pair.client, [&] { backup.serve(pair.server, 4000); });
 
   ASSERT_TRUE(primary.sync_backup());
   Rng rng(21);
@@ -158,9 +186,9 @@ TEST(FaultInjector, DroppedAndDuplicatedBatchesResyncInBand) {
   EXPECT_EQ(std::memcmp(backup.db(), primary.db(), config.db_size), 0);
   EXPECT_GT(chaos.stats().drops, 0u);
   EXPECT_GT(chaos.stats().duplicates, 0u);
-  EXPECT_GT(backup.stats().duplicates_ignored, 0u);
-  EXPECT_GT(backup.stats().gaps_detected, 0u);
-  EXPECT_GT(backup.stats().resyncs, 0u);
+  EXPECT_GT(backup.applier().stats().duplicates_ignored, 0u);
+  EXPECT_GT(backup.applier().stats().gaps_detected, 0u);
+  EXPECT_GT(backup.applier().stats().resyncs, 0u);
 }
 
 TEST(FaultInjector, BitflippedFramesAreSkippedAndResynced) {
@@ -182,14 +210,14 @@ TEST(FaultInjector, BitflippedFramesAreSkippedAndResynced) {
   WirePrimary primary(arena, config, &chaos, /*format=*/true);
   rio::Arena replica = rio::Arena::create(config.db_size);
   WireBackup backup(replica);
-  std::thread backup_thread([&] { backup.serve(pair.server, 4000); });
+  ServeThread backup_thread(pair.client, [&] { backup.serve(pair.server, 4000); });
 
   ASSERT_TRUE(primary.sync_backup());
   Rng rng(3);
   // 1 KB ranges keep the 24-byte header a tiny bit-flip target, so this
   // seed's flips all land in payloads.
   for (int i = 0; i < 150; ++i) commit_random_txn(primary, rng, config.db_size, 1024);
-  ASSERT_TRUE(primary.connection_alive());  // no flip hit a header
+  ASSERT_TRUE(primary.pipeline().connection_alive());  // no flip hit a header
   // Chaos window over: converge over the clean transport (a flipped
   // heartbeat header would tear the stream down for nothing).
   primary.attach_transport(&pair.client);
@@ -198,7 +226,7 @@ TEST(FaultInjector, BitflippedFramesAreSkippedAndResynced) {
   backup_thread.join();
 
   EXPECT_GT(chaos.stats().bitflips, 0u);
-  EXPECT_GT(backup.stats().corrupt_skipped, 0u);
+  EXPECT_GT(backup.applier().stats().corrupt_skipped, 0u);
   EXPECT_EQ(backup.applied_seq(), 150u);
   EXPECT_EQ(std::memcmp(backup.db(), primary.db(), config.db_size), 0);
 }
@@ -224,14 +252,14 @@ TEST(FaultInjector, TornFrameThenReconnectRejoinsWithDelta) {
   rio::Arena replica = rio::Arena::create(config.db_size);
   WireBackup backup(replica);
   WireBackup::ServeResult phase1{};
-  std::thread backup_thread([&] { phase1 = backup.serve(pair.server, 2000); });
+  ServeThread backup_thread(pair.client, [&] { phase1 = backup.serve(pair.server, 2000); });
 
   ASSERT_TRUE(primary.sync_backup());
   Rng rng(77);
   for (int i = 0; i < 50; ++i) commit_random_txn(primary, rng, config.db_size);
   std::vector<std::uint8_t> at_50(primary.db(), primary.db() + config.db_size);
   commit_random_txn(primary, rng, config.db_size);  // txn 51: torn mid-frame
-  EXPECT_FALSE(primary.connection_alive());
+  EXPECT_FALSE(primary.pipeline().connection_alive());
   backup_thread.join();
 
   // The torn frame surfaced as a lost connection; nothing of txn 51 landed.
@@ -243,16 +271,16 @@ TEST(FaultInjector, TornFrameThenReconnectRejoinsWithDelta) {
   // Reconnect (sans injector) and rejoin: the primary serves the delta.
   pair.reconnect();
   ASSERT_TRUE(backup.request_rejoin(pair.server));
-  std::thread backup_thread2([&] { backup.serve(pair.server, 2000); });
+  ServeThread backup_thread2(pair.client, [&] { backup.serve(pair.server, 2000); });
   primary.attach_transport(&pair.client);
-  ASSERT_TRUE(primary.handle_rejoin(2000));
+  ASSERT_TRUE(primary.pipeline().handle_rejoin(2000));
   for (int i = 0; i < 2; ++i) commit_random_txn(primary, rng, config.db_size);
   EXPECT_TRUE(await_ack(primary, 53));
   pair.client.close_peer();
   backup_thread2.join();
 
-  EXPECT_EQ(primary.stats().deltas_served, 1u);
-  EXPECT_EQ(primary.stats().full_syncs_served, 0u);
+  EXPECT_EQ(primary.pipeline().stats().deltas_served, 1u);
+  EXPECT_EQ(primary.pipeline().stats().full_syncs_served, 0u);
   EXPECT_EQ(backup.applied_seq(), 53u);
   EXPECT_EQ(std::memcmp(backup.db(), primary.db(), config.db_size), 0);
 }
@@ -274,12 +302,12 @@ TEST(FaultInjector, CheckpointDeltaInstallUnderFaultsConvergesUntorn) {
   // (4-commit fuzzy builds: 32 KiB steps over 128 KiB).
   WirePrimary primary(arena, config, &pair.client, /*format=*/true, nullptr,
                       WirePrimary::Lineage{0, 0}, /*redo_history_bytes=*/4096);
-  primary.enable_checkpoints(/*interval_txns=*/10, /*copy_bytes_per_commit=*/32 * 1024);
+  primary.pipeline().enable_checkpoints(/*interval_txns=*/10, /*copy_bytes_per_commit=*/32 * 1024);
   rio::Arena replica = rio::Arena::create(config.db_size);
   WireBackup backup(replica);
 
   WireBackup::ServeResult phase1{};
-  std::thread serve1([&] { phase1 = backup.serve(pair.server, 2000); });
+  ServeThread serve1(pair.client, [&] { phase1 = backup.serve(pair.server, 2000); });
   ASSERT_TRUE(primary.sync_backup());
   Rng rng(42);
   for (int i = 0; i < 30; ++i) commit_random_txn(primary, rng, config.db_size, 256);
@@ -294,8 +322,8 @@ TEST(FaultInjector, CheckpointDeltaInstallUnderFaultsConvergesUntorn) {
   // history past sequence 30 — without them this would be a full-image
   // rejoin (see FullImageFallbackWhenHistoryEvicted above).
   for (int i = 0; i < 30; ++i) commit_random_txn(primary, rng, config.db_size, 256);
-  ASSERT_GE(primary.stats().checkpoints_completed, 2u);
-  ASSERT_GT(primary.stats().redo_truncated_bytes, 0u);
+  ASSERT_GE(primary.pipeline().stats().checkpoints_completed, 2u);
+  ASSERT_GT(primary.pipeline().stats().redo_truncated_bytes, 0u);
 
   // Reconnect; the rejoin serve goes through the injector. The install is
   // expected to tear at least once; heartbeats after the chaos window drive
@@ -307,9 +335,9 @@ TEST(FaultInjector, CheckpointDeltaInstallUnderFaultsConvergesUntorn) {
   plan.duplicate = 0.25;
   FaultInjectingTransport chaos(pair.client, plan);
   ASSERT_TRUE(backup.request_rejoin(pair.server));
-  std::thread serve2([&] { backup.serve(pair.server, 2000); });
+  ServeThread serve2(pair.client, [&] { backup.serve(pair.server, 2000); });
   primary.attach_transport(&chaos);
-  ASSERT_TRUE(primary.handle_rejoin(2000));
+  ASSERT_TRUE(primary.pipeline().handle_rejoin(2000));
   // Chaos window over: converge over the clean transport (re-requests are
   // answered in-band from the heartbeat drain).
   primary.attach_transport(&pair.client);
@@ -321,14 +349,14 @@ TEST(FaultInjector, CheckpointDeltaInstallUnderFaultsConvergesUntorn) {
   EXPECT_EQ(backup.applied_seq(), 60u);
   EXPECT_EQ(std::memcmp(backup.db(), primary.db(), config.db_size), 0)
       << "backup after faulted checkpoint install != primary bytes";
-  EXPECT_EQ(backup.stats().checkpoint_installs, 1u)
+  EXPECT_EQ(backup.applier().stats().checkpoint_installs, 1u)
       << "exactly one install may verify; torn attempts must not count";
-  EXPECT_GE(primary.stats().checkpoint_deltas_served, 1u);
-  EXPECT_EQ(primary.stats().full_syncs_served, 0u)
+  EXPECT_GE(primary.pipeline().stats().checkpoint_deltas_served, 1u);
+  EXPECT_EQ(primary.pipeline().stats().full_syncs_served, 0u)
       << "a checkpoint-covered laggard must never fall off the full-image cliff";
   // The first serve ran under 25% drop across ~10+ frames: it tore, and the
   // applier recovered by aborting (never by installing garbage).
-  EXPECT_GE(backup.stats().checkpoint_aborts, 1u);
+  EXPECT_GE(backup.applier().stats().checkpoint_aborts, 1u);
 }
 
 TEST(Fencing, SplitBrainOldPrimaryIsFencedThenRejoins) {
@@ -350,7 +378,7 @@ TEST(Fencing, SplitBrainOldPrimaryIsFencedThenRejoins) {
   WireBackup backup_b(replica_b, &mem_b, /*node_id=*/1);
 
   WireBackup::ServeResult phase1{};
-  std::thread serve1([&] {
+  ServeThread serve1(pair.client, [&] {
     phase1 = backup_b.serve(pair.server, WireBackup::ServeOptions{150, nullptr});
   });
   ASSERT_TRUE(primary_a.sync_backup());
@@ -368,20 +396,20 @@ TEST(Fencing, SplitBrainOldPrimaryIsFencedThenRejoins) {
   // B keeps policing the old connection while A, back from its pause,
   // resumes committing in epoch 1.
   WireBackup::ServeResult phase2{};
-  std::thread serve2([&] {
+  ServeThread serve2(pair.client, [&] {
     phase2 = backup_b.serve(pair.server, WireBackup::ServeOptions{400, nullptr});
   });
   int stale_commits = 0;
-  for (; stale_commits < 50 && !primary_a.fenced(); ++stale_commits) {
+  for (; stale_commits < 50 && !primary_a.pipeline().fenced(); ++stale_commits) {
     commit_random_txn(primary_a, rng_a, config.db_size);
     usleep(5000);
   }
   serve2.join();
 
-  EXPECT_TRUE(primary_a.fenced());
-  EXPECT_EQ(primary_a.fenced_by_epoch(), 2u);
+  EXPECT_TRUE(primary_a.pipeline().fenced());
+  EXPECT_EQ(primary_a.pipeline().fenced_by_epoch(), 2u);
   EXPECT_EQ(phase2, WireBackup::ServeResult::kPrimaryFailed);
-  EXPECT_GT(backup_b.stats().stale_fenced, 0u);
+  EXPECT_GT(backup_b.applier().stats().stale_fenced, 0u);
   // Not a single stale write reached the promoted node.
   EXPECT_EQ(backup_b.applied_seq(), 100u);
   EXPECT_EQ(Crc32::of(backup_b.db(), config.db_size), crc_at_takeover);
@@ -391,12 +419,12 @@ TEST(Fencing, SplitBrainOldPrimaryIsFencedThenRejoins) {
   // A demotes itself and rejoins with its own (divergent) state. B promotes
   // its replica and becomes the wire primary, remembering the lineage: the
   // shared prefix with epoch-1 state ends at sequence 100.
-  mem_a.demote_to_backup(primary_a.fenced_by_epoch());
+  mem_a.demote_to_backup(primary_a.pipeline().fenced_by_epoch());
   EXPECT_EQ(mem_a.view().epoch, 2u);
   rio::Arena rejoin_arena = rio::Arena::create(config.db_size);
   WireBackup rejoiner_a(rejoin_arena, &mem_a, /*node_id=*/0);
-  rejoiner_a.seed(primary_a.db(), config.db_size, primary_a.committed_seq(),
-                  /*state_epoch=*/1);
+  rejoiner_a.applier().seed(primary_a.db(), config.db_size, primary_a.committed_seq(),
+                            /*state_epoch=*/1);
 
   sim::MemBus scratch_bus;
   rio::Arena arena_b =
@@ -411,10 +439,10 @@ TEST(Fencing, SplitBrainOldPrimaryIsFencedThenRejoins) {
   // takeover floor under the old epoch — a delta would smuggle divergent
   // state in, so B must ship the full image.
   ASSERT_TRUE(rejoiner_a.request_rejoin(pair.client));
-  std::thread serve3([&] { rejoiner_a.serve(pair.client, 2000); });
-  ASSERT_TRUE(primary_b.handle_rejoin(2000));
-  EXPECT_EQ(primary_b.stats().full_syncs_served, 1u);
-  EXPECT_EQ(primary_b.stats().deltas_served, 0u);
+  ServeThread serve3(pair.server, [&] { rejoiner_a.serve(pair.client, 2000); });
+  ASSERT_TRUE(primary_b.pipeline().handle_rejoin(2000));
+  EXPECT_EQ(primary_b.pipeline().stats().full_syncs_served, 1u);
+  EXPECT_EQ(primary_b.pipeline().stats().deltas_served, 0u);
 
   Rng rng_b(2);
   for (int i = 0; i < 5; ++i) commit_random_txn(primary_b, rng_b, config.db_size);
@@ -447,7 +475,7 @@ TEST(Rejoin, FullImageFallbackWhenHistoryEvicted) {
   WireBackup backup(replica);
 
   WireBackup::ServeResult phase1{};
-  std::thread serve1([&] { phase1 = backup.serve(pair.server, 2000); });
+  ServeThread serve1(pair.client, [&] { phase1 = backup.serve(pair.server, 2000); });
   ASSERT_TRUE(primary.sync_backup());
   Rng rng(9);
   for (int i = 0; i < 30; ++i) commit_random_txn(primary, rng, config.db_size, 256);
@@ -463,11 +491,11 @@ TEST(Rejoin, FullImageFallbackWhenHistoryEvicted) {
 
   pair.reconnect();
   ASSERT_TRUE(backup.request_rejoin(pair.server));
-  std::thread serve2([&] { backup.serve(pair.server, 2000); });
+  ServeThread serve2(pair.client, [&] { backup.serve(pair.server, 2000); });
   primary.attach_transport(&pair.client);
-  ASSERT_TRUE(primary.handle_rejoin(2000));
-  EXPECT_EQ(primary.stats().full_syncs_served, 1u);
-  EXPECT_EQ(primary.stats().deltas_served, 0u);
+  ASSERT_TRUE(primary.pipeline().handle_rejoin(2000));
+  EXPECT_EQ(primary.pipeline().stats().full_syncs_served, 1u);
+  EXPECT_EQ(primary.pipeline().stats().deltas_served, 0u);
   EXPECT_TRUE(await_ack(primary, 60));
   pair.client.close_peer();
   serve2.join();

@@ -124,14 +124,14 @@ SimResult run_sim_backend(unsigned window = 1, unsigned group = 1, bool two_safe
                               layout, &backup, /*format=*/true);
   primary.set_two_safe(two_safe);
   primary.set_commit_window(window);
-  primary.set_group_size(group);
+  primary.pipeline().set_group_size(group);
 
   replay(primary, history());
   primary.sync();  // flush any buffered group, resolve outstanding tickets
   primary_node.cpu().mc()->flush();
   backup.poll(fabric.link().free_at + cost.link.propagation_ns);
   return SimResult{Crc32::of(primary.db(), config.db_size),
-                   Crc32::of(backup.db(), config.db_size), backup.applied_seq()};
+                   Crc32::of(backup.db(), config.db_size), backup.applier().applied_seq()};
 }
 
 // ---- framed byte-stream backends (TCP / loopback) --------------------------
@@ -143,11 +143,11 @@ struct WireResult {
 };
 
 bool await_ack(net::WirePrimary& primary, std::uint64_t seq, int max_iters = 5000) {
-  for (int i = 0; i < max_iters && primary.backup_acked_seq() < seq; ++i) {
-    primary.send_heartbeat();
+  for (int i = 0; i < max_iters && primary.pipeline().backup_acked_seq() < seq; ++i) {
+    primary.pipeline().send_heartbeat();
     usleep(1000);
   }
-  return primary.backup_acked_seq() >= seq;
+  return primary.pipeline().backup_acked_seq() >= seq;
 }
 
 // Run the history over a connected (primary_end, backup_end) transport pair;
@@ -161,7 +161,7 @@ WireResult run_wire_backend(net::Transport& primary_transport, net::Transport& b
       rio::Arena::create(core::required_arena_size(core::VersionKind::kV3InlineLog, config));
   net::WirePrimary primary(arena, config, &primary_transport, /*format=*/true);
   primary.set_commit_window(window);
-  primary.set_group_size(group);
+  primary.pipeline().set_group_size(group);
   rio::Arena replica = rio::Arena::create(config.db_size);
   net::WireBackup backup(replica);
   std::thread backup_thread([&] { backup.serve(backup_end, 4000); });

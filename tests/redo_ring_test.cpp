@@ -99,7 +99,7 @@ TEST(RedoRing, BatchFootprintExactlyCapacityWrapsCleanly) {
   pair.commit_exact(8192, len, 0xC3);
   pair.quiesce();
 
-  EXPECT_EQ(pair.backup->applied_seq(), 3u);
+  EXPECT_EQ(pair.backup->applier().applied_seq(), 3u);
   EXPECT_EQ(std::memcmp(pair.backup->db(), pair.store->db(), config.db_size), 0);
   EXPECT_EQ(pair.backup->consumer(), 3 * kRingCapacity)
       << "each transaction must occupy exactly one full ring lap";
@@ -118,7 +118,7 @@ TEST(RedoRing, FullRingBlocksProducerUntilConsumerAdvances) {
                       static_cast<std::uint8_t>(0x10 + i));
   pair.quiesce();
 
-  EXPECT_EQ(pair.backup->applied_seq(), 8u);
+  EXPECT_EQ(pair.backup->applier().applied_seq(), 8u);
   EXPECT_EQ(std::memcmp(pair.backup->db(), pair.store->db(), config.db_size), 0);
   EXPECT_GT(pair.store->flow_stall_ns(), 0)
       << "capacity-sized batches must have stalled on the full ring";
@@ -142,7 +142,7 @@ TEST(RedoRing, CommitMarkerPrePadsWhenItWouldWrap) {
   pair.commit_exact(16384, 64, 0x3C);  // rides the lap the marker opened
   pair.quiesce();
 
-  EXPECT_EQ(pair.backup->applied_seq(), 3u);
+  EXPECT_EQ(pair.backup->applier().applied_seq(), 3u);
   EXPECT_EQ(std::memcmp(pair.backup->db(), pair.store->db(), config.db_size), 0);
 }
 
@@ -161,7 +161,7 @@ TEST(RedoRing, ImplicitPadSliverSmallerThanHeader) {
   pair.commit_exact(8192, 256, 0x28);
   pair.quiesce();
 
-  EXPECT_EQ(pair.backup->applied_seq(), 3u);
+  EXPECT_EQ(pair.backup->applier().applied_seq(), 3u);
   EXPECT_EQ(std::memcmp(pair.backup->db(), pair.store->db(), config.db_size), 0);
 }
 
