@@ -856,6 +856,183 @@ TEST(InlineLink, KillSnapsBothDirections) {
   EXPECT_EQ(link.last_error(), repl::LinkError::kClosed);
 }
 
+// ---- wire format ------------------------------------------------------------
+//
+// One frame of every FrameKind, captured through ScriptedLink and compared
+// with byte literals. A primary and a backup built from different revisions
+// must agree on these layouts, so a change here is a protocol change. Image
+// payloads are pinned by length and CRC32C.
+
+using Bytes = std::vector<std::uint8_t>;
+
+void expect_frame(const repl::Frame& frame, repl::FrameKind kind, const Bytes& payload,
+                  std::uint64_t epoch = 1) {
+  EXPECT_EQ(frame.kind, kind);
+  EXPECT_EQ(frame.epoch, epoch);
+  EXPECT_EQ(frame.payload, payload) << "frame kind " << static_cast<int>(kind);
+}
+
+void expect_image_frame(const repl::Frame& frame, repl::FrameKind kind, std::size_t size,
+                        std::uint32_t crc) {
+  EXPECT_EQ(frame.kind, kind);
+  EXPECT_EQ(frame.payload.size(), size);
+  EXPECT_EQ(Crc32::of(frame.payload.data(), frame.payload.size()), crc)
+      << "frame kind " << static_cast<int>(kind);
+}
+
+void stage_bytes(repl::RedoPipeline& pipe, std::uint64_t off, const Bytes& data) {
+  pipe.stage(off, data.data(), data.size());
+}
+
+void push_rejoin_request(ScriptedLink& link, std::uint64_t seq) {
+  repl::Frame request{repl::FrameKind::kRejoinRequest, 1,
+                      Bytes{static_cast<std::uint8_t>(seq), 0, 0, 0, 0, 0, 0, 0,  // seq
+                            7, 0, 0, 0, 0, 0, 0, 0,    // node id
+                            1, 0, 0, 0, 0, 0, 0, 0}};  // state epoch
+  link.inbound.push_back(std::move(request));
+}
+
+TEST(WireFormat, PrimaryFramesMatchTheirLiterals) {
+  MemSource source(64);
+  for (std::size_t i = 0; i < 64; ++i) {
+    source.mutable_db()[i] = static_cast<std::uint8_t>(i * 3 + 1);
+  }
+  ScriptedLink link;
+  repl::RedoPipeline pipe(source, &link);
+
+  ASSERT_TRUE(pipe.sync_backup());
+  ASSERT_EQ(link.sent.size(), 2u);
+  expect_frame(link.sent[0], repl::FrameKind::kHello,
+               {0x40, 0, 0, 0, 0, 0, 0, 0,   // db size 64
+                0, 0, 0, 0, 0, 0, 0, 0});    // committed seq 0
+  expect_image_frame(link.sent[1], repl::FrameKind::kDbChunk, 8 + 64, 0x9d9c8670u);
+
+  link.sent.clear();
+  pipe.begin();
+  stage_bytes(pipe, 8, {0xA1, 0xA2, 0xA3});
+  stage_bytes(pipe, 40, {0xB1});
+  source.committed = 1;
+  pipe.commit(1);
+  ASSERT_EQ(link.sent.size(), 1u);
+  expect_frame(link.sent[0], repl::FrameKind::kRedoBatch,
+               {1, 0, 0, 0, 0, 0, 0, 0,                       // seq 1
+                8, 0, 0, 0, 3, 0, 0, 0, 0xA1, 0xA2, 0xA3,     // off 8, len 3, bytes
+                40, 0, 0, 0, 1, 0, 0, 0, 0xB1});              // off 40, len 1, bytes
+
+  link.sent.clear();
+  pipe.set_group_size(2);
+  for (std::uint64_t seq = 2; seq <= 3; ++seq) {
+    pipe.begin();
+    stage_bytes(pipe, 14 + seq, {static_cast<std::uint8_t>(0xC0 + seq)});
+    source.committed = seq;
+    pipe.commit(seq);
+  }
+  pipe.set_group_size(1);
+  ASSERT_EQ(link.sent.size(), 1u);
+  expect_frame(link.sent[0], repl::FrameKind::kRedoGroup,
+               {2, 0, 0, 0,                                               // count 2
+                17, 0, 0, 0,                                              // sub-batch len
+                2, 0, 0, 0, 0, 0, 0, 0, 16, 0, 0, 0, 1, 0, 0, 0, 0xC2,    // seq 2
+                17, 0, 0, 0,                                              // sub-batch len
+                3, 0, 0, 0, 0, 0, 0, 0, 17, 0, 0, 0, 1, 0, 0, 0, 0xC3});  // seq 3
+
+  link.sent.clear();
+  ASSERT_TRUE(pipe.send_heartbeat());
+  ASSERT_EQ(link.sent.size(), 1u);
+  expect_frame(link.sent[0], repl::FrameKind::kHeartbeat, {3, 0, 0, 0, 0, 0, 0, 0});
+
+  link.sent.clear();
+  const std::uint64_t xid = 0x1122334455667788;
+  pipe.begin();
+  stage_bytes(pipe, 24, {0xD4});
+  source.committed = 4;
+  pipe.prepare_cross(4, xid);
+  ASSERT_TRUE(pipe.decide_cross(xid, /*commit=*/true));
+  ASSERT_EQ(link.sent.size(), 2u);
+  expect_frame(link.sent[0], repl::FrameKind::kXPrepare,
+               {0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11,          // xid
+                4, 0, 0, 0, 0, 0, 0, 0, 24, 0, 0, 0, 1, 0, 0, 0, 0xD4});  // batch
+  expect_frame(link.sent[1], repl::FrameKind::kXDecide,
+               {0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11, 1});     // xid, commit
+
+  link.sent.clear();
+  push_rejoin_request(link, 2);
+  ASSERT_TRUE(pipe.handle_rejoin(/*timeout_ms=*/0));
+  ASSERT_EQ(link.sent.size(), 3u);
+  expect_frame(link.sent[0], repl::FrameKind::kRejoinDelta,
+               {2, 0, 0, 0, 0, 0, 0, 0,   // from seq 2
+                2, 0, 0, 0, 0, 0, 0, 0});  // 2 batches follow
+  expect_frame(link.sent[1], repl::FrameKind::kRedoBatch,
+               {3, 0, 0, 0, 0, 0, 0, 0, 17, 0, 0, 0, 1, 0, 0, 0, 0xC3});
+  expect_frame(link.sent[2], repl::FrameKind::kRedoBatch,
+               {4, 0, 0, 0, 0, 0, 0, 0, 24, 0, 0, 0, 1, 0, 0, 0, 0xD4});
+}
+
+TEST(WireFormat, CheckpointDeltaFramesMatchTheirLiterals) {
+  MemSource source(64);
+  for (std::size_t i = 0; i < 64; ++i) {
+    source.mutable_db()[i] = static_cast<std::uint8_t>(i * 3 + 1);
+  }
+  ScriptedLink link;
+  repl::RedoPipeline pipe(source, &link);
+  // A checkpoint completes on every commit, so the history above it is empty
+  // and a backup at 1 can only be served checkpoint+delta.
+  pipe.enable_checkpoints(/*interval_txns=*/1, /*copy_bytes_per_commit=*/64);
+  for (std::uint64_t seq = 1; seq <= 2; ++seq) {
+    const std::uint64_t off = seq == 1 ? 0 : 63;
+    const std::uint8_t byte = static_cast<std::uint8_t>(0xE0 + seq);
+    source.mutable_db()[off] = byte;
+    pipe.begin();
+    stage_bytes(pipe, off, {byte});
+    source.committed = seq;
+    pipe.commit(seq);
+  }
+
+  link.sent.clear();
+  push_rejoin_request(link, 1);
+  ASSERT_TRUE(pipe.handle_rejoin(/*timeout_ms=*/0));
+  ASSERT_EQ(link.sent.size(), 4u);
+  expect_frame(link.sent[0], repl::FrameKind::kCkptBegin,
+               {2, 0, 0, 0, 0, 0, 0, 0,      // watermark seq 2
+                0x40, 0, 0, 0, 0, 0, 0, 0,   // db size 64
+                0x46, 0x99, 0xC0, 0x8F,      // image crc
+                1, 0, 0, 0});                // 1 chunk follows
+  expect_image_frame(link.sent[1], repl::FrameKind::kCkptChunk, 8 + 64, 0x93ea2deau);
+  expect_frame(link.sent[2], repl::FrameKind::kCkptEnd,
+               {2, 0, 0, 0, 0, 0, 0, 0,      // watermark seq 2
+                0x46, 0x99, 0xC0, 0x8F});    // image crc
+  expect_frame(link.sent[3], repl::FrameKind::kRejoinDelta,
+               {2, 0, 0, 0, 0, 0, 0, 0,      // from seq 2
+                0, 0, 0, 0, 0, 0, 0, 0});    // nothing to replay
+}
+
+TEST(WireFormat, ApplierFramesMatchTheirLiterals) {
+  MemTarget target(64);
+  repl::RedoApplier applier(target, nullptr, /*node_id=*/9);
+  const Bytes zeros(64, 0);
+  applier.seed(zeros.data(), zeros.size(), /*applied_seq=*/5, /*state_epoch=*/1);
+  ScriptedLink link;
+
+  ASSERT_TRUE(applier.request_rejoin(link));
+  const repl::Frame heartbeat{repl::FrameKind::kHeartbeat, 1, Bytes{5, 0, 0, 0, 0, 0, 0, 0}};
+  applier.on_frame(heartbeat, link);  // caught up: acks
+  ASSERT_EQ(link.sent.size(), 2u);
+  expect_frame(link.sent[0], repl::FrameKind::kRejoinRequest,
+               {5, 0, 0, 0, 0, 0, 0, 0,   // applied seq 5
+                9, 0, 0, 0, 0, 0, 0, 0,   // node id 9
+                1, 0, 0, 0, 0, 0, 0, 0});  // state epoch 1
+  expect_frame(link.sent[1], repl::FrameKind::kConsumerAck, {5, 0, 0, 0, 0, 0, 0, 0});
+
+  cluster::Membership membership(2, cluster::Role::kBackup);
+  ASSERT_TRUE(membership.join_epoch(3));
+  repl::RedoApplier fencing(target, &membership, 2);
+  ScriptedLink fence_link;
+  fencing.on_frame(heartbeat, fence_link);  // epoch 1 < 3
+  ASSERT_EQ(fence_link.sent.size(), 1u);
+  expect_frame(fence_link.sent[0], repl::FrameKind::kEpochFence, {3, 0, 0, 0, 0, 0, 0, 0},
+               /*epoch=*/3);
+}
+
 TEST(CheckpointRegression, FuzzyBuildIsConsistentAtItsWatermark) {
   // The background copy runs concurrently with commits (4 commits per
   // build), yet the finished image must equal the database at exactly the
