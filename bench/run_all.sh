@@ -29,7 +29,14 @@ for pair in \
     "smp_orderentry BENCH_smp_orderentry.json" \
     "shard_scaling BENCH_shards.json" \
     "rebalance_cost BENCH_rebalance.json" \
-    "read_scaling BENCH_read_scaling.json"; do
+    "read_scaling BENCH_read_scaling.json" \
+    "table1_straightforward BENCH_table1.json" \
+    "table8_dbsize BENCH_table8.json" \
+    "fig2_smp_debitcredit BENCH_fig2.json" \
+    "fig3_smp_orderentry BENCH_fig3.json" \
+    "ablation_coalescing BENCH_ablation_coalescing.json" \
+    "ablation_fifo_depth BENCH_ablation_fifo_depth.json" \
+    "ablation_undo_shipping BENCH_ablation_undo_shipping.json"; do
   bin="${pair% *}"
   out="${pair#* }"
   echo "== $bin -> $out"
