@@ -1098,7 +1098,8 @@ void RedoApplier::on_ckpt_chunk(const Frame& frame, ReplicationLink& link) {
   std::uint64_t off;
   std::memcpy(&off, frame.payload.data(), 8);
   const std::size_t len = frame.payload.size() - 8;
-  if (off + len > db_size_) {
+  // The offset comes off the wire: `off + len` could wrap.
+  if (off > db_size_ || len > db_size_ - off) {
     abort_checkpoint_install(link);
     return;
   }
@@ -1394,11 +1395,14 @@ RedoApplier::FrameResult RedoApplier::on_frame(const Frame& frame, ReplicationLi
   switch (frame.kind) {
     case FrameKind::kHello: {
       if (frame.payload.size() != 16) return FrameResult::kCorrupt;
-      std::uint64_t size;
+      std::uint64_t size, seq;
       std::memcpy(&size, frame.payload.data(), 8);
-      std::memcpy(&applied_seq_, frame.payload.data() + 8, 8);
+      std::memcpy(&seq, frame.payload.data() + 8, 8);
+      // Check before adopting anything: a rejected hello leaves the old
+      // image and its sequence as they were.
       if (size > target_.capacity()) return FrameResult::kCorrupt;
       clear_checkpoint_install();  // a full sync supersedes any install
+      applied_seq_ = seq;
       db_size_ = size;
       image_next_off_ = 0;  // image transfer restarts
       state_epoch_ = frame.epoch;

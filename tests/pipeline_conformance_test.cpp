@@ -1033,6 +1033,62 @@ TEST(WireFormat, ApplierFramesMatchTheirLiterals) {
                /*epoch=*/3);
 }
 
+// ---- hostile input ----------------------------------------------------------
+
+TEST(HostileInput, OversizedHelloLeavesTheSequenceAndImageAlone) {
+  // A hello announcing more bytes than the replica holds is rejected. It used
+  // to adopt the hello's sequence before the size check, so the old image
+  // went on claiming the primary's sequence: reads at that sequence were
+  // served from stale bytes, and the next rejoin asked for a delta from it.
+  MemTarget target(4096);
+  repl::RedoApplier applier(target);
+  const std::vector<std::uint8_t> zeros(4096, 0);
+  applier.seed(zeros.data(), zeros.size(), /*applied_seq=*/5, /*state_epoch=*/1);
+
+  repl::Frame hello{repl::FrameKind::kHello, 1, std::vector<std::uint8_t>(16)};
+  const std::uint64_t size = 1 << 20, seq = 99;
+  std::memcpy(hello.payload.data(), &size, 8);
+  std::memcpy(hello.payload.data() + 8, &seq, 8);
+  ScriptedLink link;
+  EXPECT_EQ(applier.on_frame(hello, link), repl::RedoApplier::FrameResult::kCorrupt);
+  EXPECT_EQ(applier.applied_seq(), 5u);
+  EXPECT_TRUE(applier.image_complete());
+  std::uint8_t out[8];
+  EXPECT_EQ(applier.read_at_watermark(0, sizeof out, /*min_seq=*/99, out).status,
+            repl::RedoApplier::ReadStatus::kLagging);
+}
+
+TEST(HostileInput, CheckpointChunkOffsetNearU64MaxAbortsTheInstall) {
+  // A kCkptChunk offset comes off the wire. Bounding it with `off + len`
+  // wrapped for an offset near 2^64, so the chunk was buffered and the End's
+  // merged-CRC pass read far outside the image.
+  std::vector<std::uint8_t> image(4096);
+  for (std::size_t i = 0; i < image.size(); ++i) image[i] = static_cast<std::uint8_t>(i);
+  MemTarget target(image.size());
+  repl::RedoApplier applier(target);
+  applier.seed(image.data(), image.size(), /*applied_seq=*/13, /*state_epoch=*/1);
+
+  const std::uint64_t seq = 14, size = image.size(), off = ~std::uint64_t{0} - 7;
+  const std::uint32_t crc = Crc32::of(image.data(), image.size()), chunks = 1;
+  repl::Frame begin{repl::FrameKind::kCkptBegin, 1, std::vector<std::uint8_t>(24)};
+  std::memcpy(begin.payload.data(), &seq, 8);
+  std::memcpy(begin.payload.data() + 8, &size, 8);
+  std::memcpy(begin.payload.data() + 16, &crc, 4);
+  std::memcpy(begin.payload.data() + 20, &chunks, 4);
+  repl::Frame chunk{repl::FrameKind::kCkptChunk, 1, std::vector<std::uint8_t>(8 + 16, 0xAB)};
+  std::memcpy(chunk.payload.data(), &off, 8);
+  repl::Frame end{repl::FrameKind::kCkptEnd, 1, std::vector<std::uint8_t>(12)};
+  std::memcpy(end.payload.data(), &seq, 8);
+  std::memcpy(end.payload.data() + 8, &crc, 4);
+
+  ScriptedLink link;
+  for (const repl::Frame* frame : {&begin, &chunk, &end}) applier.on_frame(*frame, link);
+  EXPECT_EQ(applier.stats().checkpoint_aborts, 1u);
+  EXPECT_EQ(applier.stats().checkpoint_installs, 0u);
+  EXPECT_EQ(applier.applied_seq(), 13u);
+  EXPECT_EQ(target.mem, image) << "a rejected install must not touch the replica";
+}
+
 TEST(CheckpointRegression, FuzzyBuildIsConsistentAtItsWatermark) {
   // The background copy runs concurrently with commits (4 commits per
   // build), yet the finished image must equal the database at exactly the
