@@ -52,6 +52,7 @@
 #include <thread>
 #include <vector>
 
+#include "repl/applier.hpp"
 #include "repl/pipeline.hpp"
 
 namespace vrep::net {

@@ -3,30 +3,12 @@
 // Used by the bank_failover example, the chaos soak and the integration
 // tests.
 //
-// All protocol logic — sequencing, batching, the bounded redo history,
-// rejoin/delta-vs-full-image decisions, epoch fencing, 1-safe/2-safe commit
-// modes — lives in repl::RedoPipeline / repl::RedoApplier (repl/pipeline.hpp),
-// and the primary's store, capture and commit path in repl::ReplicatedStore
+// All protocol logic lives in repl::RedoPipeline (repl/pipeline.hpp) and
+// repl::RedoApplier (repl/applier.hpp), frame payloads in repl/codec.hpp, and
+// the primary's store, capture and commit path in repl::ReplicatedStore
 // (repl/replicated_store.hpp). This file is pure composition: it binds the
 // primary to net::Transport carriers via net::TransportLink, and the backup's
 // applier to a replica arena and a receive loop.
-//
-// Frame payloads (all frames CRC-protected and epoch-stamped by the
-// transport; kinds in repl/link.hpp):
-//   kHello         u64 db_size | u64 committed_seq     (primary -> backup)
-//   kDbChunk       u64 offset  | bytes                 full image transfer
-//   kRedoBatch     u64 seq | { u32 db_off, u32 len, bytes }*  one transaction
-//   kRedoGroup     u32 count | { u32 len, kRedoBatch payload }*  group commit
-//   kHeartbeat     u64 committed_seq
-//   kConsumerAck   u64 applied_seq                     (backup -> primary)
-//   kRejoinRequest u64 last_applied_seq | u64 node_id | u64 state_epoch
-//                                                      (backup -> primary)
-//   kRejoinDelta   u64 from_seq | u64 batch_count      (primary -> backup)
-//   kEpochFence    u64 current_epoch                   (either -> stale peer)
-//   kCkptBegin     u64 watermark_seq | u64 db_size | u32 image_crc | u32 chunks
-//                                                      (primary -> backup)
-//   kCkptChunk     u64 offset | bytes                  checkpoint page run
-//   kCkptEnd       u64 watermark_seq | u32 image_crc   install commit point
 //
 // 1-safety: commit returns after the local commit; the batch send is not
 // awaited. A primary crash can lose the trailing transactions, but a batch
@@ -50,7 +32,7 @@
 #include "core/api.hpp"
 #include "net/transport.hpp"
 #include "net/transport_link.hpp"
-#include "repl/pipeline.hpp"
+#include "repl/applier.hpp"
 #include "repl/replicated_store.hpp"
 #include "rio/arena.hpp"
 #include "sim/mem_bus.hpp"

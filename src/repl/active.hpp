@@ -31,8 +31,8 @@
 
 #include "cluster/membership.hpp"
 #include "core/api.hpp"
+#include "repl/applier.hpp"
 #include "repl/mc_ring_link.hpp"
-#include "repl/pipeline.hpp"
 #include "repl/redo_ring.hpp"
 #include "repl/replicated_store.hpp"
 #include "rio/arena.hpp"

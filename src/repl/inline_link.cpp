@@ -1,6 +1,6 @@
 #include "repl/inline_link.hpp"
 
-#include "repl/pipeline.hpp"
+#include "repl/applier.hpp"
 
 namespace vrep::repl {
 

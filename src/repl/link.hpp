@@ -35,7 +35,8 @@
 namespace vrep::repl {
 
 // Frame kinds, shared by every backend. Values match net::MsgType so the
-// TCP/loopback adapter is a cast, not a table.
+// TCP/loopback adapter is a cast, not a table. Payload layouts are in
+// repl/codec.hpp.
 enum class FrameKind : std::uint8_t {
   kRedoBatch = 1,      // one committed transaction's redo chunks
   kHeartbeat = 2,      // primary liveness + committed sequence
@@ -43,14 +44,14 @@ enum class FrameKind : std::uint8_t {
   kHello = 4,          // full-sync handshake: db size, starting state
   kDbChunk = 5,        // database image transfer
   kRejoinRequest = 6,  // backup -> primary: last applied seq, node, state epoch
-  kRejoinDelta = 7,    // primary -> backup: u64 from_seq | u64 batch count
-  kEpochFence = 8,     // receiver -> stale sender: u64 current epoch
+  kRejoinDelta = 7,    // primary -> backup: a delta replay of N batches follows
+  kEpochFence = 8,     // receiver -> stale sender: the current epoch
   kRedoGroup = 9,      // group commit: several contiguous kRedoBatch payloads
   kCkptBegin = 10,     // checkpoint install start: watermark + image geometry
-  kCkptChunk = 11,     // checkpoint page run: u64 offset | bytes
+  kCkptChunk = 11,     // checkpoint page run
   kCkptEnd = 12,       // checkpoint install end: watermark seq + full-image crc
-  kXPrepare = 13,      // 2PC phase 1: u64 xid | staged redo batch (in-doubt)
-  kXDecide = 14,       // 2PC phase 2: u64 xid | u8 commit (1) / abort (0)
+  kXPrepare = 13,      // 2PC phase 1: staged redo batch held in-doubt
+  kXDecide = 14,       // 2PC phase 2: commit or abort an in-doubt xid
 };
 
 struct Frame {

@@ -1,10 +1,9 @@
 #include "repl/mc_ring_link.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "repl/active.hpp"
-#include "repl/pipeline.hpp"
+#include "repl/codec.hpp"
 #include "util/check.hpp"
 #include "util/crc32.hpp"
 #include "util/metrics.hpp"
@@ -65,8 +64,8 @@ std::optional<Frame> McRingLink::recv(int timeout_ms) {
   }
   if (visible > last_reported_ack_) {
     last_reported_ack_ = visible;
-    Frame frame{FrameKind::kConsumerAck, backup_->applier().epoch(), std::vector<std::uint8_t>(8)};
-    std::memcpy(frame.payload.data(), &visible, 8);
+    const auto ack = encode(Ack{visible});
+    Frame frame{FrameKind::kConsumerAck, backup_->applier().epoch(), {ack.begin(), ack.end()}};
     error_ = LinkError::kNone;
     return frame;
   }

@@ -21,97 +21,7 @@ constexpr std::size_t kDbChunkBytes = 256 * 1024;
 // says so.
 constexpr int kTwoSafeRecvTimeoutMs = 250;
 constexpr int kTwoSafeMaxProbes = 20;
-
-void append_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  const std::size_t at = out.size();
-  out.resize(at + 4);
-  std::memcpy(out.data() + at, &v, 4);
-}
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// Batch codec
-// ---------------------------------------------------------------------------
-
-bool batch_valid(const std::uint8_t* payload, std::size_t size, std::size_t db_size) {
-  if (size < 8) return false;
-  std::size_t at = 8;
-  while (at < size) {
-    if (at + 8 > size) return false;
-    std::uint32_t off, len;
-    std::memcpy(&off, payload + at, 4);
-    std::memcpy(&len, payload + at + 4, 4);
-    at += 8;
-    if (at + len > size || off + std::uint64_t{len} > db_size) return false;
-    at += len;
-  }
-  return true;
-}
-
-std::uint64_t batch_seq(const std::uint8_t* payload) {
-  std::uint64_t seq;
-  std::memcpy(&seq, payload, 8);
-  return seq;
-}
-
-bool BatchReader::next(RedoChunk* out) {
-  if (at_ + 8 > size_) return false;
-  std::uint32_t off, len;
-  std::memcpy(&off, payload_ + at_, 4);
-  std::memcpy(&len, payload_ + at_ + 4, 4);
-  at_ += 8;
-  out->db_off = off;
-  out->len = len;
-  out->data = payload_ + at_;
-  at_ += len;
-  return true;
-}
-
-bool group_valid(const std::uint8_t* payload, std::size_t size, std::size_t db_size) {
-  if (size < 4) return false;
-  std::uint32_t count;
-  std::memcpy(&count, payload, 4);
-  if (count < 1) return false;
-  std::size_t at = 4;
-  std::uint64_t expect_seq = 0;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    if (at + 4 > size) return false;
-    std::uint32_t len;
-    std::memcpy(&len, payload + at, 4);
-    at += 4;
-    if (len < 8 || at + len > size) return false;
-    if (!batch_valid(payload + at, len, db_size)) return false;
-    const std::uint64_t seq = batch_seq(payload + at);
-    if (i == 0) {
-      expect_seq = seq;
-    } else if (seq != expect_seq) {
-      return false;  // sub-batches must be contiguous ascending
-    }
-    expect_seq = seq + 1;
-    at += len;
-  }
-  return at == size;
-}
-
-GroupReader::GroupReader(const std::uint8_t* payload, std::size_t size)
-    : payload_(payload), size_(size) {
-  std::memcpy(&count_, payload, 4);
-}
-
-bool GroupReader::next(const std::uint8_t** batch, std::size_t* len) {
-  if (at_ + 4 > size_) return false;
-  std::uint32_t sub_len;
-  std::memcpy(&sub_len, payload_ + at_, 4);
-  at_ += 4;
-  *batch = payload_ + at_;
-  *len = sub_len;
-  at_ += sub_len;
-  return true;
-}
-
-// ---------------------------------------------------------------------------
-// RedoPipeline
-// ---------------------------------------------------------------------------
 
 RedoPipeline::RedoPipeline(Source& source, ReplicationLink* link,
                            cluster::Membership* membership, Lineage lineage,
@@ -147,14 +57,6 @@ void RedoPipeline::remove_peer(std::size_t peer) {
   p.acked_seq = 0;
   p.acked->set(0);
   recompute_quorum_acked();
-}
-
-std::size_t RedoPipeline::live_peers() const {
-  std::size_t n = 0;
-  for (const PeerSlot& p : peers_) {
-    if (p.alive) n++;
-  }
-  return n;
 }
 
 bool RedoPipeline::connection_alive() const {
@@ -206,29 +108,41 @@ void RedoPipeline::set_commit_window(unsigned w) {
   window_ = w;
 }
 
-bool RedoPipeline::link_send(PeerSlot& peer, FrameKind kind, const void* payload,
-                             std::size_t len) {
-  if (peer.link == nullptr) return false;
-  return peer.link->send(kind, epoch(), payload, len);
+bool RedoPipeline::link_send(PeerSlot& peer, FrameKind kind, Payload payload) {
+  const bool sent =
+      peer.link != nullptr && peer.link->send(kind, epoch(), payload.data(), payload.size());
+  if (!sent) peer.alive = false;
+  return sent;
+}
+
+bool RedoPipeline::broadcast(FrameKind kind, Payload payload, std::uint64_t txns) {
+  bool any = false;
+  for (PeerSlot& p : peers_) {
+    if (!p.alive || fenced_ || !link_send(p, kind, payload)) continue;
+    p.shipped->add(txns);
+    any = true;
+  }
+  return any;
+}
+
+void RedoPipeline::probe(PeerSlot& peer) {
+  if (peer.alive && !fenced_) {
+    link_send(peer, FrameKind::kHeartbeat, encode(Heartbeat{shipped_watermark()}));
+  }
 }
 
 void RedoPipeline::begin() {
-  batch_.clear();
-  batch_.resize(8);  // sequence filled in at commit
+  batch_begin(batch_);
   if (ckpt_enabled_) staged_spans_.clear();
 }
 
 void RedoPipeline::stage(std::uint64_t off, const void* src, std::size_t len) {
-  // Offsets and lengths are u32 on the wire (see the batch-format comment in
-  // pipeline.hpp): a silent cast would wrap redo for databases >= 4 GiB into
-  // the wrong pages on every backup. Refuse loudly instead.
+  // Offsets and lengths are u32 on the wire (see repl/codec.hpp): a silent
+  // cast would wrap redo for databases >= 4 GiB into the wrong pages on
+  // every backup. Refuse loudly instead.
   VREP_CHECK(off + std::uint64_t{len} <= (std::uint64_t{1} << 32) &&
              "redo chunk exceeds the u32 batch wire format (4 GiB)");
-  append_u32(batch_, static_cast<std::uint32_t>(off));
-  append_u32(batch_, static_cast<std::uint32_t>(len));
-  const std::size_t at = batch_.size();
-  batch_.resize(at + len);
-  std::memcpy(batch_.data() + at, src, len);
+  batch_append(batch_, static_cast<std::uint32_t>(off), src, len);
   if (ckpt_enabled_) staged_spans_.emplace_back(off, static_cast<std::uint32_t>(len));
 }
 
@@ -246,41 +160,28 @@ void RedoPipeline::fence(std::uint64_t newer_epoch) {
 
 void RedoPipeline::on_control_frame(PeerSlot& peer, const Frame& frame) {
   switch (frame.kind) {
-    case FrameKind::kConsumerAck:
-      if (frame.payload.size() == 8 && (membership_ == nullptr || frame.epoch == epoch())) {
-        std::uint64_t v;
-        std::memcpy(&v, frame.payload.data(), 8);
-        if (v > peer.acked_seq) {
-          peer.acked_seq = v;
-          peer.acked->set(static_cast<std::int64_t>(v));
-          recompute_quorum_acked();
-        }
+    case FrameKind::kConsumerAck: {
+      Ack ack;
+      if (decode(frame.payload, &ack) && (membership_ == nullptr || frame.epoch == epoch()) &&
+          ack.applied_seq > peer.acked_seq) {
+        peer.acked_seq = ack.applied_seq;
+        peer.acked->set(static_cast<std::int64_t>(ack.applied_seq));
+        recompute_quorum_acked();
       }
       break;
+    }
     case FrameKind::kEpochFence: {
-      if (frame.payload.size() != 8) break;
-      std::uint64_t e;
-      std::memcpy(&e, frame.payload.data(), 8);
-      if (e > epoch()) {
+      EpochFence fence_msg;
+      if (decode(frame.payload, &fence_msg) && fence_msg.epoch > epoch()) {
         // Someone took over in a newer epoch while we were out: stop
         // shipping immediately; the caller demotes us and rejoins.
-        fence(e);
+        fence(fence_msg.epoch);
       }
       break;
     }
-    case FrameKind::kRejoinRequest: {
-      if (frame.payload.size() != 24) break;
-      if (membership_ != nullptr && frame.epoch > epoch()) {
-        fence(frame.epoch);
-        break;
-      }
-      std::uint64_t seq, node, state_epoch;
-      std::memcpy(&seq, frame.payload.data(), 8);
-      std::memcpy(&node, frame.payload.data() + 8, 8);
-      std::memcpy(&state_epoch, frame.payload.data() + 16, 8);
-      serve_rejoin(peer, seq, node, state_epoch);
+    case FrameKind::kRejoinRequest:
+      serve_rejoin(peer, frame);
       break;
-    }
     default:
       break;
   }
@@ -304,6 +205,12 @@ void RedoPipeline::drain(PeerSlot& peer) {
   }
 }
 
+void RedoPipeline::drain_live() {
+  for (PeerSlot& p : peers_) {
+    if (p.alive) drain(p);
+  }
+}
+
 void RedoPipeline::await_coverage(std::uint64_t target, Coverage rule) {
   const auto covered = [&] {
     if (rule == Coverage::kQuorum) return quorum_acked_cache_ >= target;
@@ -312,19 +219,11 @@ void RedoPipeline::await_coverage(std::uint64_t target, Coverage rule) {
     }
     return true;
   };
-  // Push the shipped frames all the way onto every carrier, then probe: the
-  // heartbeat carries our shipped sequence, and a caught-up backup answers
-  // it with an immediate ack (a behind one requests resync, which
-  // serve_rejoin repairs right here in the wait loop).
+  // Push the shipped frames all the way onto every carrier, then probe; a
+  // behind backup's resync request is served right here in the wait loop.
   for (PeerSlot& p : peers_) {
     if (p.link != nullptr) p.link->flush();
   }
-  const auto probe = [&](PeerSlot& p) {
-    const std::uint64_t shipped = shipped_watermark();
-    if (p.alive && !fenced_ && !link_send(p, FrameKind::kHeartbeat, &shipped, 8)) {
-      p.alive = false;
-    }
-  };
   for (PeerSlot& p : peers_) {
     probe(p);
     p.silent = 0;
@@ -502,39 +401,17 @@ std::vector<std::pair<std::uint64_t, std::uint64_t>> RedoPipeline::checkpoint_de
 
 bool RedoPipeline::serve_checkpoint_delta(PeerSlot& peer, std::uint64_t backup_seq) {
   const auto runs = checkpoint_delta_runs(backup_seq);
-  // kCkptBegin: u64 watermark seq | u64 db_size | u32 image crc | u32 chunks.
-  std::uint8_t begin[24];
-  const std::uint64_t size = ckpt_image_.size();
-  const std::uint32_t count = static_cast<std::uint32_t>(runs.size());
-  std::memcpy(begin, &ckpt_.seq, 8);
-  std::memcpy(begin + 8, &size, 8);
-  std::memcpy(begin + 16, &ckpt_.crc, 4);
-  std::memcpy(begin + 20, &count, 4);
-  if (!link_send(peer, FrameKind::kCkptBegin, begin, sizeof begin)) {
-    peer.alive = false;
-    return false;
-  }
+  const CkptBegin begin{ckpt_.seq, ckpt_image_.size(), ckpt_.crc,
+                        static_cast<std::uint32_t>(runs.size())};
+  if (!link_send(peer, FrameKind::kCkptBegin, encode(begin))) return false;
   std::vector<std::uint8_t> chunk;
   std::uint64_t shipped_bytes = 0;
   for (const auto& [off, len] : runs) {
-    chunk.clear();
-    chunk.resize(8);
-    std::memcpy(chunk.data(), &off, 8);
-    chunk.insert(chunk.end(), ckpt_image_.data() + off, ckpt_image_.data() + off + len);
-    if (!link_send(peer, FrameKind::kCkptChunk, chunk.data(), chunk.size())) {
-      peer.alive = false;
-      return false;
-    }
+    encode(ImageChunk{off, Payload(ckpt_image_.data() + off, len)}, chunk);
+    if (!link_send(peer, FrameKind::kCkptChunk, chunk)) return false;
     shipped_bytes += len;
   }
-  // kCkptEnd: u64 watermark seq | u32 image crc.
-  std::uint8_t end[12];
-  std::memcpy(end, &ckpt_.seq, 8);
-  std::memcpy(end + 8, &ckpt_.crc, 4);
-  if (!link_send(peer, FrameKind::kCkptEnd, end, sizeof end)) {
-    peer.alive = false;
-    return false;
-  }
+  if (!link_send(peer, FrameKind::kCkptEnd, encode(CkptEnd{ckpt_.seq, ckpt_.crc}))) return false;
   metrics::counter("repl.primary.checkpoint_bytes_shipped").add(shipped_bytes);
   peer.alive = true;
   return true;
@@ -546,41 +423,21 @@ void RedoPipeline::ship_group() {
   // A single-transaction group ships as the classic kRedoBatch frame,
   // byte-identical to the ungrouped stream; 2+ coalesce into one kRedoGroup
   // frame that every backend delivers (and applies) atomically.
-  FrameKind kind = FrameKind::kRedoBatch;
-  const std::uint8_t* payload = pending_group_[0].batch.data();
-  std::size_t payload_len = pending_group_[0].batch.size();
+  Payload payload = pending_group_[0].batch;
   std::vector<std::uint8_t> group;
   if (count > 1) {
-    kind = FrameKind::kRedoGroup;
-    append_u32(group, static_cast<std::uint32_t>(count));
-    for (const RedoRecord& txn : pending_group_) {
-      append_u32(group, static_cast<std::uint32_t>(txn.batch.size()));
-      group.insert(group.end(), txn.batch.begin(), txn.batch.end());
-    }
-    payload = group.data();
-    payload_len = group.size();
+    group_begin(group, static_cast<std::uint32_t>(count));
+    for (const RedoRecord& txn : pending_group_) group_append(group, txn.batch);
+    payload = group;
   }
-  // Fire and forget to every live peer; a send failure marks that peer down
-  // but never blocks or fails the local commits (1-safe semantics — the
-  // 2-safe wait is the caller's window backpressure).
-  bool shipped = false;
-  for (PeerSlot& p : peers_) {
-    if (!p.alive || fenced_) continue;
-    if (link_send(p, kind, payload, payload_len)) {
-      p.shipped->add(static_cast<std::uint64_t>(count));
-      shipped = true;
-    } else {
-      p.alive = false;
-    }
-  }
+  const bool shipped =
+      broadcast(count > 1 ? FrameKind::kRedoGroup : FrameKind::kRedoBatch, payload, count);
   shipped_seq_ = pending_group_.back().seq;
   if (shipped) {
     stats_.txns_shipped += count;
     metrics::counter("repl.primary.txns_shipped").add(count);
   }
-  for (PeerSlot& p : peers_) {
-    if (p.alive) drain(p);
-  }
+  drain_live();
   metrics::timer("repl.primary.group_size").record(count);
   const std::uint64_t in_flight =
       shipped_seq_ - std::min(shipped_seq_, quorum_acked_cache_);
@@ -639,15 +496,12 @@ void RedoPipeline::poll_acks() {
     // An applier acks in answer to a probe carrying our shipped watermark
     // (wait_covered's protocol), not per applied batch — so a lagging peer
     // must be probed here or an async caller would poll forever.
-    if (peer.alive && !fenced_ && peer.acked_seq < shipped &&
-        !link_send(peer, FrameKind::kHeartbeat, &shipped, 8)) {
-      peer.alive = false;
-    }
+    if (peer.acked_seq < shipped) probe(peer);
   }
 }
 
 RedoPipeline::CommitTicket RedoPipeline::commit_async(std::uint64_t seq) {
-  std::memcpy(batch_.data(), &seq, 8);
+  batch_stamp(batch_, seq);
   // Retain the batch even while every link is down or we are fenced: a later
   // rejoin (ours or a backup's) replays from this history.
   insert_history(seq, batch_);
@@ -744,43 +598,25 @@ RedoPipeline::CommitTicket RedoPipeline::prepare_cross(std::uint64_t seq, std::u
   VREP_CHECK(!ckpt_enabled_ &&
              "fuzzy checkpoints do not compose with cross-shard prepares yet");
   VREP_CHECK(in_doubt_.find(xid) == in_doubt_.end() && "xid already prepared");
-  std::memcpy(batch_.data(), &seq, 8);
+  batch_stamp(batch_, seq);
   // Anything buffered in the pending group precedes this prepare on the
   // wire; ship it so the backup sees sequences in order.
   ship_group();
-  std::vector<std::uint8_t> payload(8 + batch_.size());
-  std::memcpy(payload.data(), &xid, 8);
-  std::memcpy(payload.data() + 8, batch_.data(), batch_.size());
-  for (PeerSlot& p : peers_) {
-    if (!p.alive || fenced_) continue;
-    if (link_send(p, FrameKind::kXPrepare, payload.data(), payload.size())) {
-      p.shipped->add(1);
-    } else {
-      p.alive = false;
-    }
-  }
+  broadcast(FrameKind::kXPrepare, encode(XPrepare{xid, batch_}), 1);
   shipped_seq_ = seq;
   last_ticket_seq_ = seq;
   stats_.prepares_shipped++;
   metrics::counter("repl.primary.prepares_shipped").add(1);
   in_doubt_.emplace(xid, RedoRecord{seq, std::move(batch_)});
   batch_.clear();
-  for (PeerSlot& p : peers_) {
-    if (p.alive) drain(p);
-  }
+  drain_live();
   return admit(seq);
 }
 
 bool RedoPipeline::decide_cross(std::uint64_t xid, bool commit) {
   auto it = in_doubt_.find(xid);
   if (it == in_doubt_.end()) return false;
-  std::uint8_t payload[9];
-  std::memcpy(payload, &xid, 8);
-  payload[8] = commit ? 1 : 0;
-  for (PeerSlot& p : peers_) {
-    if (!p.alive || fenced_) continue;
-    if (!link_send(p, FrameKind::kXDecide, payload, sizeof payload)) p.alive = false;
-  }
+  broadcast(FrameKind::kXDecide, encode(XDecide{xid, commit}), 0);
   stats_.decides_shipped++;
   metrics::counter("repl.primary.decides_shipped").add(1);
   if (commit) {
@@ -788,40 +624,24 @@ bool RedoPipeline::decide_cross(std::uint64_t xid, bool commit) {
   } else {
     // The sequence was consumed by the prepare; an empty batch keeps the
     // replay history contiguous while writing nothing.
-    std::vector<std::uint8_t> empty(8);
-    std::memcpy(empty.data(), &it->second.seq, 8);
+    std::vector<std::uint8_t> empty(kBatchHeaderBytes);
+    batch_stamp(empty, it->second.seq);
     insert_history(it->second.seq, std::move(empty));
   }
   in_doubt_.erase(it);
-  for (PeerSlot& p : peers_) {
-    if (p.alive) drain(p);
-  }
+  drain_live();
   return true;
 }
 
 bool RedoPipeline::sync_peer(PeerSlot& peer) {
   if (fenced_ || peer.link == nullptr) return false;
-  std::uint8_t hello[16];
-  const std::uint64_t size = source_.db_size();
-  const std::uint64_t seq = source_.committed_seq();
-  std::memcpy(hello, &size, 8);
-  std::memcpy(hello + 8, &seq, 8);
-  if (!link_send(peer, FrameKind::kHello, hello, sizeof hello)) {
-    peer.alive = false;
-    return false;
-  }
+  const Hello hello{source_.db_size(), source_.committed_seq()};
+  if (!link_send(peer, FrameKind::kHello, encode(hello))) return false;
   std::vector<std::uint8_t> chunk;
   for (std::size_t off = 0; off < source_.db_size(); off += kDbChunkBytes) {
     const std::size_t len = std::min(kDbChunkBytes, source_.db_size() - off);
-    chunk.clear();
-    chunk.resize(8);
-    const std::uint64_t off64 = off;
-    std::memcpy(chunk.data(), &off64, 8);
-    chunk.insert(chunk.end(), source_.db() + off, source_.db() + off + len);
-    if (!link_send(peer, FrameKind::kDbChunk, chunk.data(), chunk.size())) {
-      peer.alive = false;
-      return false;
-    }
+    encode(ImageChunk{off, Payload(source_.db() + off, len)}, chunk);
+    if (!link_send(peer, FrameKind::kDbChunk, chunk)) return false;
   }
   peer.alive = true;
   return true;
@@ -875,19 +695,26 @@ RedoPipeline::RejoinDecision RedoPipeline::decide_rejoin(std::uint64_t backup_se
   return RejoinDecision::kFullImage;
 }
 
-bool RedoPipeline::serve_rejoin(PeerSlot& peer, std::uint64_t backup_seq, std::uint64_t node_id,
-                                std::uint64_t state_epoch) {
+std::optional<bool> RedoPipeline::serve_rejoin(PeerSlot& peer, const Frame& frame) {
+  RejoinRequest request;
+  if (!decode(frame.payload, &request)) return std::nullopt;
+  if (membership_ != nullptr && frame.epoch > epoch()) {
+    // The requester has seen a newer epoch than ours: we are the stale node
+    // here. Step aside instead of serving.
+    fence(frame.epoch);
+    return false;
+  }
   if (fenced_) return false;
+  const std::uint64_t backup_seq = request.last_applied_seq;
+  const int node_id = static_cast<int>(request.node_id);
   // A *new* backup joining the view is a membership change (epoch bump); a
   // reconnect of a backup already in the view is not.
-  if (membership_ != nullptr && membership_->is_primary() &&
-      !membership_->has_backup(static_cast<int>(node_id))) {
-    membership_->adopt_backup(static_cast<int>(node_id));
+  if (membership_ != nullptr && membership_->is_primary() && !membership_->has_backup(node_id)) {
+    membership_->adopt_backup(node_id);
   }
   stats_.rejoins_served++;
-  peer.rejoins_served++;
   metrics::counter("repl.primary.rejoins_served").add(1);
-  const RejoinDecision decision = decide_rejoin(backup_seq, state_epoch);
+  const RejoinDecision decision = decide_rejoin(backup_seq, request.state_epoch);
   if (decision == RejoinDecision::kFullImage) {
     // Genuine last resort: neither the history nor a checkpoint could repair
     // the gap.
@@ -907,18 +734,10 @@ bool RedoPipeline::serve_rejoin(PeerSlot& peer, std::uint64_t backup_seq, std::u
   }
   const std::uint64_t committed = source_.committed_seq();
   VREP_CHECK(committed >= replay_from);  // decide_rejoin clamped claimed-future
-  std::uint8_t delta[16];
-  const std::uint64_t count = committed - replay_from;
-  std::memcpy(delta, &replay_from, 8);
-  std::memcpy(delta + 8, &count, 8);
-  if (!link_send(peer, FrameKind::kRejoinDelta, delta, sizeof delta)) {
-    peer.alive = false;
-    return false;
-  }
+  const RejoinDelta delta{replay_from, committed - replay_from};
+  if (!link_send(peer, FrameKind::kRejoinDelta, encode(delta))) return false;
   for (const auto& entry : history_) {
-    if (entry.seq <= replay_from) continue;
-    if (!link_send(peer, FrameKind::kRedoBatch, entry.batch.data(), entry.batch.size())) {
-      peer.alive = false;
+    if (entry.seq > replay_from && !link_send(peer, FrameKind::kRedoBatch, entry.batch)) {
       return false;
     }
   }
@@ -938,628 +757,17 @@ bool RedoPipeline::handle_rejoin(std::size_t peer, int timeout_ms) {
       p.alive = false;
       return false;
     }
-    if (frame->kind != FrameKind::kRejoinRequest || frame->payload.size() != 24) continue;
-    if (membership_ != nullptr && frame->epoch > epoch()) {
-      // The requester has seen a newer epoch than ours: we are the stale
-      // node here. Step aside instead of serving.
-      fence(frame->epoch);
-      return false;
-    }
-    std::uint64_t seq, node, state_epoch;
-    std::memcpy(&seq, frame->payload.data(), 8);
-    std::memcpy(&node, frame->payload.data() + 8, 8);
-    std::memcpy(&state_epoch, frame->payload.data() + 16, 8);
-    return serve_rejoin(p, seq, node, state_epoch);
+    if (frame->kind != FrameKind::kRejoinRequest) continue;
+    if (const std::optional<bool> served = serve_rejoin(p, *frame)) return *served;
   }
 }
 
 bool RedoPipeline::send_heartbeat() {
-  const std::uint64_t seq = shipped_watermark();
   for (PeerSlot& p : peers_) {
-    if (p.alive && !fenced_ && !link_send(p, FrameKind::kHeartbeat, &seq, 8)) {
-      p.alive = false;
-    }
+    probe(p);
     if (p.alive) drain(p);
   }
   return connection_alive();
-}
-
-// ---------------------------------------------------------------------------
-// RedoApplier
-// ---------------------------------------------------------------------------
-
-bool RedoApplier::request_rejoin(ReplicationLink& link) {
-  // A (re)request supersedes any half-received install: the buffered chunks
-  // belong to a serve that is no longer coming back.
-  clear_checkpoint_install();
-  std::uint8_t req[24];
-  // An incomplete image cannot be repaired by a sequence delta: ask from 0,
-  // which the primary always answers with a full image sync.
-  const std::uint64_t from = image_complete() ? applied_seq_ : 0;
-  std::memcpy(req, &from, 8);
-  std::memcpy(req + 8, &node_id_, 8);
-  std::memcpy(req + 16, &state_epoch_, 8);
-  return link.send(FrameKind::kRejoinRequest, epoch(), req, sizeof req);
-}
-
-void RedoApplier::adopt_image(std::size_t size, std::uint64_t applied_seq,
-                              std::uint64_t state_epoch) {
-  VREP_CHECK(size <= target_.capacity());
-  clear_checkpoint_install();
-  db_size_ = size;
-  image_next_off_ = size;
-  applied_seq_ = applied_seq;
-  state_epoch_ = state_epoch;
-  awaiting_resync_ = false;
-}
-
-void RedoApplier::seed(const std::uint8_t* db, std::size_t size, std::uint64_t applied_seq,
-                       std::uint64_t state_epoch) {
-  VREP_CHECK(size <= target_.capacity());
-  target_.write(0, db, size);
-  adopt_image(size, applied_seq, state_epoch);
-}
-
-void RedoApplier::maybe_request_resync(ReplicationLink& link) {
-  if (awaiting_resync_) return;
-  if (request_rejoin(link)) awaiting_resync_ = true;
-}
-
-void RedoApplier::note_corrupt_skipped(ReplicationLink& link) {
-  stats_.corrupt_skipped++;
-  metrics::counter("repl.backup.corrupt_skipped").add(1);
-  maybe_request_resync(link);
-}
-
-RedoApplier::ReadResult RedoApplier::read_at_watermark(std::uint64_t off, std::uint32_t len,
-                                                       std::uint64_t min_seq,
-                                                       std::uint8_t* out) const {
-  ReadResult result;
-  result.at_seq = applied_seq_;
-  if (applied_seq_ < min_seq) {
-    // Read-your-writes bounce: this replica has not yet applied the
-    // client's own commit. at_seq tells the caller how far behind it is.
-    result.status = ReadStatus::kLagging;
-    metrics::counter("repl.backup.reads_bounced").add(1);
-    return result;
-  }
-  if (!image_complete() || off > db_size_ || len > db_size_ - off) {
-    result.status = ReadStatus::kOutOfBounds;
-    metrics::counter("repl.backup.reads_oob").add(1);
-    return result;
-  }
-  if (len != 0) std::memcpy(out, target_.data() + off, len);
-  result.status = ReadStatus::kOk;
-  metrics::counter("repl.backup.reads_served").add(1);
-  return result;
-}
-
-void RedoApplier::clear_checkpoint_install() {
-  ckpt_installing_ = false;
-  ckpt_chunks_.clear();
-}
-
-void RedoApplier::abort_checkpoint_install(ReplicationLink& link) {
-  clear_checkpoint_install();
-  stats_.checkpoint_aborts++;
-  metrics::counter("repl.backup.checkpoint_aborts").add(1);
-  // The replica image was never touched (chunks only buffer until the End
-  // CRC verifies), so re-requesting from our real sequence is always safe.
-  awaiting_resync_ = false;
-  maybe_request_resync(link);
-}
-
-void RedoApplier::on_ckpt_begin(const Frame& frame, ReplicationLink& link) {
-  if (frame.payload.size() != 24) {
-    note_corrupt_skipped(link);
-    return;
-  }
-  std::uint64_t seq, size;
-  std::uint32_t crc, count;
-  std::memcpy(&seq, frame.payload.data(), 8);
-  std::memcpy(&size, frame.payload.data() + 8, 8);
-  std::memcpy(&crc, frame.payload.data() + 16, 4);
-  std::memcpy(&count, frame.payload.data() + 20, 4);
-  if (seq <= applied_seq_) {
-    // A replayed install start for state we already hold (duplicate fault).
-    stats_.duplicates_ignored++;
-    metrics::counter("repl.backup.duplicates_ignored").add(1);
-    return;
-  }
-  if (!image_complete() || size != db_size_) {
-    // A checkpoint delta patches an intact base image; without one (or with
-    // mismatched geometry) only a full sync can help.
-    clear_checkpoint_install();
-    awaiting_resync_ = false;
-    maybe_request_resync(link);
-    return;
-  }
-  // A fresh Begin supersedes any half-buffered install (the primary decided
-  // to re-serve, e.g. after our re-request).
-  ckpt_installing_ = true;
-  ckpt_install_seq_ = seq;
-  ckpt_install_crc_ = crc;
-  ckpt_chunks_expected_ = count;
-  ckpt_chunks_.clear();
-}
-
-void RedoApplier::on_ckpt_chunk(const Frame& frame, ReplicationLink& link) {
-  if (!ckpt_installing_) {
-    // Begin lost (or install already aborted): the chunk is unanchored.
-    // The End — or the next heartbeat — drives the re-request.
-    stats_.duplicates_ignored++;
-    metrics::counter("repl.backup.duplicates_ignored").add(1);
-    return;
-  }
-  if (frame.payload.size() < 8) {
-    abort_checkpoint_install(link);
-    return;
-  }
-  std::uint64_t off;
-  std::memcpy(&off, frame.payload.data(), 8);
-  const std::size_t len = frame.payload.size() - 8;
-  // The offset comes off the wire: `off + len` could wrap.
-  if (off > db_size_ || len > db_size_ - off) {
-    abort_checkpoint_install(link);
-    return;
-  }
-  // Buffer only — the replica image stays untouched until the End CRC proves
-  // the combined result, so a torn install is never adoptable.
-  PendingChunk chunk;
-  chunk.off = off;
-  chunk.bytes.assign(frame.payload.begin() + 8, frame.payload.end());
-  ckpt_chunks_.push_back(std::move(chunk));
-}
-
-void RedoApplier::on_ckpt_end(const Frame& frame, ReplicationLink& link) {
-  if (frame.payload.size() != 12) {
-    note_corrupt_skipped(link);
-    return;
-  }
-  std::uint64_t seq;
-  std::uint32_t crc;
-  std::memcpy(&seq, frame.payload.data(), 8);
-  std::memcpy(&crc, frame.payload.data() + 8, 4);
-  if (!ckpt_installing_) {
-    if (seq <= applied_seq_) {
-      // Duplicate End after a completed install.
-      stats_.duplicates_ignored++;
-      metrics::counter("repl.backup.duplicates_ignored").add(1);
-      return;
-    }
-    // The Begin never arrived: nothing buffered, re-request cleanly.
-    awaiting_resync_ = false;
-    maybe_request_resync(link);
-    return;
-  }
-  if (seq != ckpt_install_seq_ || crc != ckpt_install_crc_) {
-    abort_checkpoint_install(link);
-    return;
-  }
-  // Sort + dedupe the buffered chunks (duplicate faults re-deliver a run
-  // verbatim), then demand exactly the announced disjoint ascending set —
-  // anything else is a torn transfer.
-  std::sort(ckpt_chunks_.begin(), ckpt_chunks_.end(),
-            [](const PendingChunk& a, const PendingChunk& b) { return a.off < b.off; });
-  ckpt_chunks_.erase(std::unique(ckpt_chunks_.begin(), ckpt_chunks_.end(),
-                                 [](const PendingChunk& a, const PendingChunk& b) {
-                                   return a.off == b.off && a.bytes == b.bytes;
-                                 }),
-                     ckpt_chunks_.end());
-  bool shape_ok = ckpt_chunks_.size() == ckpt_chunks_expected_;
-  std::uint64_t prev_end = 0;
-  for (const PendingChunk& c : ckpt_chunks_) {
-    if (c.off < prev_end) shape_ok = false;
-    prev_end = c.off + c.bytes.size();
-  }
-  if (!shape_ok) {
-    abort_checkpoint_install(link);
-    return;
-  }
-  // Verify BEFORE applying: CRC of the merged view (current image where no
-  // chunk covers, buffered chunk bytes where one does) must equal the
-  // watermark's full-image CRC. Only then do the chunks touch the replica.
-  Crc32 merged;
-  const std::uint8_t* base = target_.data();
-  std::size_t at = 0;
-  for (const PendingChunk& c : ckpt_chunks_) {
-    if (at < c.off) merged.update(base + at, c.off - at);
-    merged.update(c.bytes.data(), c.bytes.size());
-    at = c.off + c.bytes.size();
-  }
-  if (at < db_size_) merged.update(base + at, db_size_ - at);
-  if (merged.value() != ckpt_install_crc_) {
-    // Transfer faults fail the shape check above, so a merged-CRC mismatch
-    // means our base image diverges from what the watermark promises.
-    // Distrust it entirely — re-request as imageless (full sync) rather than
-    // loop on checkpoint deltas that can never verify.
-    image_next_off_ = 0;
-    abort_checkpoint_install(link);
-    return;
-  }
-  for (const PendingChunk& c : ckpt_chunks_) {
-    target_.write(c.off, c.bytes.data(), c.bytes.size());
-  }
-  applied_seq_ = ckpt_install_seq_;
-  state_epoch_ = frame.epoch;
-  clear_checkpoint_install();
-  awaiting_resync_ = false;
-  stats_.checkpoint_installs++;
-  metrics::counter("repl.backup.checkpoint_installs").add(1);
-  link.send(FrameKind::kConsumerAck, epoch(), &applied_seq_, 8);
-}
-
-void RedoApplier::apply_validated(const std::uint8_t* payload, std::size_t size) {
-  BatchReader reader(payload, size);
-  RedoChunk chunk;
-  while (reader.next(&chunk)) target_.write(chunk.db_off, chunk.data, chunk.len);
-  applied_seq_ = batch_seq(payload);
-}
-
-bool RedoApplier::apply_batch(const Frame& frame) {
-  // Validate the whole batch before touching the image so a malformed frame
-  // is never applied partially (the backup's image must only ever hold
-  // whole transactions).
-  if (!batch_valid(frame.payload.data(), frame.payload.size(), db_size_)) return false;
-  apply_validated(frame.payload.data(), frame.payload.size());
-  return true;
-}
-
-bool RedoApplier::apply_decoded(std::uint64_t first_seq, std::uint64_t last_seq,
-                                const RedoChunk* chunks, std::size_t count,
-                                std::uint64_t epoch) {
-  VREP_CHECK(first_seq <= last_seq);
-  if (last_seq <= applied_seq_) {
-    stats_.duplicates_ignored++;  // duplicate, replay, or stale ring lap
-    metrics::counter("repl.backup.duplicates_ignored").add(1);
-    return false;
-  }
-  if (first_seq != applied_seq_ + 1) {
-    stats_.gaps_detected++;
-    metrics::counter("repl.backup.gaps_detected").add(1);
-    return false;
-  }
-  // The carrier guaranteed the group arrived whole (ring group checksum /
-  // frame CRC), so the [first_seq, last_seq] range applies atomically.
-  for (std::size_t i = 0; i < count; ++i) {
-    VREP_CHECK(chunks[i].db_off + std::uint64_t{chunks[i].len} <= db_size_);
-    target_.write(chunks[i].db_off, chunks[i].data, chunks[i].len);
-  }
-  applied_seq_ = last_seq;
-  state_epoch_ = epoch;
-  const std::uint64_t applied = last_seq - first_seq + 1;
-  stats_.batches_applied += applied;
-  metrics::counter("repl.backup.batches_applied").add(applied);
-  return true;
-}
-
-void RedoApplier::on_group_frame(const Frame& frame, ReplicationLink& link) {
-  if (!image_complete()) {
-    maybe_request_resync(link);
-    return;
-  }
-  // Validate the whole group — structure, every sub-batch, and the
-  // contiguity of their sequences — before touching the image: a group is
-  // applied in full or not at all, never partially.
-  if (!group_valid(frame.payload.data(), frame.payload.size(), db_size_)) {
-    note_corrupt_skipped(link);
-    return;
-  }
-  GroupReader group(frame.payload.data(), frame.payload.size());
-  const std::uint8_t* sub;
-  std::size_t sub_len;
-  VREP_CHECK(group.next(&sub, &sub_len));
-  const std::uint64_t first = batch_seq(sub);
-  const std::uint64_t last = first + group.count() - 1;
-  if (last <= applied_seq_) {
-    stats_.duplicates_ignored++;  // whole group replayed (duplicate fault)
-    metrics::counter("repl.backup.duplicates_ignored").add(1);
-    return;
-  }
-  if (first > applied_seq_ + 1) {
-    // A frame before this group went missing: resync from the last good
-    // sequence instead of applying on top of a hole.
-    stats_.gaps_detected++;
-    metrics::counter("repl.backup.gaps_detected").add(1);
-    maybe_request_resync(link);
-    return;
-  }
-  // Sub-batches at or below applied_seq_ are delta-replay overlap; the rest
-  // apply in sequence order. Everything is pre-validated, so from here the
-  // group cannot fail partway.
-  std::uint64_t applied = 0;
-  do {
-    if (batch_seq(sub) > applied_seq_) {
-      apply_validated(sub, sub_len);
-      applied++;
-    }
-  } while (group.next(&sub, &sub_len));
-  state_epoch_ = frame.epoch;
-  stats_.batches_applied += applied;
-  metrics::counter("repl.backup.batches_applied").add(applied);
-  // One ack per group frame: the primary's in-flight window drains at group
-  // granularity, so per-group acks are what keep it moving.
-  link.send(FrameKind::kConsumerAck, epoch(), &applied_seq_, 8);
-}
-
-void RedoApplier::on_prepare_frame(const Frame& frame, ReplicationLink& link) {
-  if (!image_complete()) {
-    maybe_request_resync(link);
-    return;
-  }
-  if (frame.payload.size() < 16) {
-    note_corrupt_skipped(link);
-    return;
-  }
-  std::uint64_t xid;
-  std::memcpy(&xid, frame.payload.data(), 8);
-  const std::uint8_t* batch = frame.payload.data() + 8;
-  const std::size_t batch_len = frame.payload.size() - 8;
-  // Validate NOW, while the primary still holds the bytes: a decision frame
-  // carries only the xid, so a corrupt buffered batch could not be repaired
-  // later.
-  if (!batch_valid(batch, batch_len, db_size_)) {
-    note_corrupt_skipped(link);
-    return;
-  }
-  const std::uint64_t seq = batch_seq(batch);
-  if (seq <= applied_seq_) {
-    stats_.duplicates_ignored++;  // prepare replay (duplicate fault)
-    metrics::counter("repl.backup.duplicates_ignored").add(1);
-    // Still ack: the coordinator blocks on coverage of this sequence.
-    link.send(FrameKind::kConsumerAck, epoch(), &applied_seq_, 8);
-    return;
-  }
-  if (seq != applied_seq_ + 1) {
-    stats_.gaps_detected++;
-    metrics::counter("repl.backup.gaps_detected").add(1);
-    maybe_request_resync(link);
-    return;
-  }
-  in_doubt_[xid].assign(batch, batch + batch_len);
-  // The prepare consumes its sequence — the bytes stay out of the image
-  // until the decision — so the redo stream continues past it and 2-safe
-  // coverage extends to the prepare.
-  applied_seq_ = seq;
-  state_epoch_ = frame.epoch;
-  stats_.prepares_buffered++;
-  metrics::counter("repl.backup.prepares_buffered").add(1);
-  // Ack every prepare immediately: the coordinator's phase-1 durability wait
-  // rides on it, and prepares are rare enough that batching buys nothing.
-  link.send(FrameKind::kConsumerAck, epoch(), &applied_seq_, 8);
-}
-
-void RedoApplier::on_decide_frame(const Frame& frame) {
-  if (frame.payload.size() != 9) {
-    stats_.corrupt_skipped++;
-    metrics::counter("repl.backup.corrupt_skipped").add(1);
-    return;
-  }
-  std::uint64_t xid;
-  std::memcpy(&xid, frame.payload.data(), 8);
-  if (!resolve_in_doubt(xid, frame.payload[8] != 0)) {
-    stats_.duplicates_ignored++;  // decision replay after resolution
-    metrics::counter("repl.backup.duplicates_ignored").add(1);
-  }
-}
-
-std::vector<std::uint64_t> RedoApplier::in_doubt_xids() const {
-  std::vector<std::uint64_t> xids;
-  xids.reserve(in_doubt_.size());
-  for (const auto& [xid, batch] : in_doubt_) xids.push_back(xid);
-  return xids;
-}
-
-bool RedoApplier::resolve_in_doubt(std::uint64_t xid, bool commit) {
-  auto it = in_doubt_.find(xid);
-  if (it == in_doubt_.end()) return false;
-  if (commit) {
-    // The batch was validated at prepare; applied_seq_ already advanced past
-    // it when the prepare consumed its sequence, so only the writes land.
-    BatchReader reader(it->second.data(), it->second.size());
-    RedoChunk chunk;
-    while (reader.next(&chunk)) target_.write(chunk.db_off, chunk.data, chunk.len);
-    stats_.decides_committed++;
-    metrics::counter("repl.backup.decides_committed").add(1);
-  } else {
-    stats_.decides_aborted++;
-    metrics::counter("repl.backup.decides_aborted").add(1);
-  }
-  in_doubt_.erase(it);
-  return true;
-}
-
-RedoApplier::FrameResult RedoApplier::on_frame(const Frame& frame, ReplicationLink& link) {
-  if (membership_ != nullptr) {
-    const std::uint64_t cur = membership_->view().epoch;
-    if (frame.epoch < cur) {
-      // Stale-epoch traffic — a fenced old primary still shipping. Drop it
-      // and tell the sender which epoch rules now.
-      stats_.stale_fenced++;
-      metrics::counter("repl.backup.stale_fenced").add(1);
-      link.send(FrameKind::kEpochFence, cur, &cur, 8);
-      return FrameResult::kOk;
-    }
-    if (frame.epoch > cur) {
-      // A newer primary only introduces itself through a sync start (a
-      // checkpoint install begin is one: it anchors the resync it leads).
-      if (frame.kind == FrameKind::kHello || frame.kind == FrameKind::kRejoinDelta ||
-          frame.kind == FrameKind::kEpochFence || frame.kind == FrameKind::kCkptBegin) {
-        membership_->join_epoch(frame.epoch);
-      } else {
-        return FrameResult::kOk;
-      }
-    }
-  }
-
-  switch (frame.kind) {
-    case FrameKind::kHello: {
-      if (frame.payload.size() != 16) return FrameResult::kCorrupt;
-      std::uint64_t size, seq;
-      std::memcpy(&size, frame.payload.data(), 8);
-      std::memcpy(&seq, frame.payload.data() + 8, 8);
-      // Check before adopting anything: a rejected hello leaves the old
-      // image and its sequence as they were.
-      if (size > target_.capacity()) return FrameResult::kCorrupt;
-      clear_checkpoint_install();  // a full sync supersedes any install
-      applied_seq_ = seq;
-      db_size_ = size;
-      image_next_off_ = 0;  // image transfer restarts
-      state_epoch_ = frame.epoch;
-      break;
-    }
-    case FrameKind::kDbChunk: {
-      if (frame.payload.size() < 8) {
-        note_corrupt_skipped(link);
-        break;
-      }
-      std::uint64_t off;
-      std::memcpy(&off, frame.payload.data(), 8);
-      const std::size_t len = frame.payload.size() - 8;
-      if (off < image_next_off_) {
-        stats_.duplicates_ignored++;  // replayed chunk (duplicate fault)
-        metrics::counter("repl.backup.duplicates_ignored").add(1);
-        break;
-      }
-      if (off > image_next_off_) {
-        // A chunk went missing: the image has a hole only a fresh full
-        // sync can fill.
-        stats_.gaps_detected++;
-        metrics::counter("repl.backup.gaps_detected").add(1);
-        maybe_request_resync(link);
-        break;
-      }
-      if (off + len > db_size_) return FrameResult::kCorrupt;
-      target_.write(off, frame.payload.data() + 8, len);
-      image_next_off_ = off + len;
-      if (image_complete() && awaiting_resync_) {
-        awaiting_resync_ = false;
-        stats_.resyncs++;
-        metrics::counter("repl.backup.resyncs").add(1);
-      }
-      break;
-    }
-    case FrameKind::kRedoBatch: {
-      if (!image_complete()) {
-        // No image yet (or a holed one): batches are unusable until a full
-        // sync lands.
-        maybe_request_resync(link);
-        break;
-      }
-      if (frame.payload.size() < 8) {
-        note_corrupt_skipped(link);
-        break;
-      }
-      const std::uint64_t seq = batch_seq(frame.payload.data());
-      if (seq <= applied_seq_) {
-        stats_.duplicates_ignored++;  // duplicate fault or delta overlap
-        metrics::counter("repl.backup.duplicates_ignored").add(1);
-        break;
-      }
-      if (seq == applied_seq_ + 1) {
-        if (!apply_batch(frame)) {
-          note_corrupt_skipped(link);
-          break;
-        }
-        stats_.batches_applied++;
-        metrics::counter("repl.backup.batches_applied").add(1);
-        state_epoch_ = frame.epoch;
-        // Acknowledge periodically (flow control / monitoring); per-batch
-        // acks would just pressure the primary's receive buffer.
-        if (applied_seq_ % 32 == 0) {
-          link.send(FrameKind::kConsumerAck, epoch(), &applied_seq_, 8);
-        }
-        break;
-      }
-      // Sequence gap: a batch was dropped or skipped as corrupt. Resync
-      // from the last good sequence instead of giving up.
-      stats_.gaps_detected++;
-      metrics::counter("repl.backup.gaps_detected").add(1);
-      maybe_request_resync(link);
-      break;
-    }
-    case FrameKind::kRedoGroup:
-      on_group_frame(frame, link);
-      break;
-    case FrameKind::kRejoinDelta: {
-      if (frame.payload.size() != 16) break;
-      std::uint64_t from, count;
-      std::memcpy(&from, frame.payload.data(), 8);
-      std::memcpy(&count, frame.payload.data() + 8, 8);
-      if (from <= applied_seq_ && image_complete()) {
-        // The replay that follows is contiguous from `from`; batches we
-        // already hold are ignored as duplicates.
-        awaiting_resync_ = false;
-        stats_.resyncs++;
-        metrics::counter("repl.backup.resyncs").add(1);
-      } else {
-        // Unusable delta (should not happen): re-request from where we
-        // actually are. A half-buffered install died with the serve that
-        // fed it.
-        if (ckpt_installing_) {
-          abort_checkpoint_install(link);
-          break;
-        }
-        awaiting_resync_ = false;
-        maybe_request_resync(link);
-      }
-      break;
-    }
-    case FrameKind::kCkptBegin:
-      on_ckpt_begin(frame, link);
-      break;
-    case FrameKind::kCkptChunk:
-      on_ckpt_chunk(frame, link);
-      break;
-    case FrameKind::kCkptEnd:
-      on_ckpt_end(frame, link);
-      break;
-    case FrameKind::kHeartbeat: {
-      // Liveness — but the heartbeat also carries the primary's committed
-      // sequence, which closes the trailing-drop window: a gap with no
-      // batch behind it would otherwise go unnoticed until the next commit.
-      if (frame.payload.size() == 8 && image_complete()) {
-        std::uint64_t committed;
-        std::memcpy(&committed, frame.payload.data(), 8);
-        if (committed > applied_seq_) {
-          if (ckpt_installing_) {
-            // The End (or the serve's whole tail) was lost: drop the
-            // buffered install and re-request — heartbeats double as the
-            // install retry timer exactly as they do for lost deltas.
-            abort_checkpoint_install(link);
-            break;
-          }
-          stats_.gaps_detected++;
-          metrics::counter("repl.backup.gaps_detected").add(1);
-          // Heartbeats double as the resync retry timer: if a previous
-          // request (or the delta answering it) was itself lost, re-arm
-          // instead of waiting forever on a reply that will never come.
-          awaiting_resync_ = false;
-          maybe_request_resync(link);
-        } else {
-          // All caught up: acknowledge so the primary's acked watermark
-          // converges even between the periodic batch acks (and so 2-safe
-          // commit probes resolve immediately).
-          link.send(FrameKind::kConsumerAck, epoch(), &applied_seq_, 8);
-        }
-      }
-      break;
-    }
-    case FrameKind::kXPrepare:
-      on_prepare_frame(frame, link);
-      break;
-    case FrameKind::kXDecide:
-      on_decide_frame(frame);
-      break;
-    case FrameKind::kEpochFence:
-      break;  // epoch already adopted above (if newer)
-    default:
-      // Unknown frame type with valid CRCs: version skew. Skip it.
-      stats_.corrupt_skipped++;
-      metrics::counter("repl.backup.corrupt_skipped").add(1);
-      break;
-  }
-  return FrameResult::kOk;
 }
 
 }  // namespace vrep::repl

@@ -1,36 +1,10 @@
-// The transport-agnostic redo replication engine (paper Section 6, grown
-// into a protocol).
-//
-// Exactly one implementation of the active scheme's protocol logic lives
-// here, shared by every backend (simulated Memory Channel ring, TCP,
-// in-process loopback — see repl/link.hpp):
-//
-//   * RedoPipeline — the primary side. Owns redo staging and batch
-//     encoding, sequence assignment, the bounded redo history, the
-//     delta-vs-full-image rejoin decision (including the state-epoch
-//     lineage rule), epoch fencing, 1-safe/2-safe commit modes with
-//     quorum-based acknowledgment over N backups, and the canonical
-//     metrics. Each backup occupies one slot in a per-peer table (link,
-//     acked sequence, liveness, rejoin accounting); commit() fans the
-//     encoded batch out to every live peer.
-//   * RedoApplier — the backup side. Owns image transfer bookkeeping,
-//     atomic batch application, duplicate/gap/corrupt-frame accounting,
-//     in-band resync requests, and the replica's state epoch.
-//
-// Batch wire format (the payload of a kRedoBatch frame):
-//
-//   [u64 seq | { u32 db_off, u32 len, len payload bytes }* ]
-//
-// The offset and length fields are 32-bit on the wire: a single chunk must
-// start below 4 GiB and end at or below it. stage() CHECKs this bound —
-// databases at or beyond 4 GiB need a wider wire format (a versioned frame
-// bump), not a silent wrap.
-//
-// Backends that carry whole frames (TCP, loopback) ship this payload
-// verbatim; the simulated ring re-packs it into 6-byte ring entries (its
-// own wire format — see repl/redo_ring.hpp) and hands the backup decoded
-// chunks through RedoApplier::apply_decoded, so the protocol state machine
-// is identical on all carriers.
+// RedoPipeline — the primary end of the active scheme's redo protocol (paper
+// Section 6), shared by every carrier (repl/link.hpp). It owns redo staging,
+// sequencing, the bounded redo history, rejoin decisions, epoch fencing,
+// 1-safe/2-safe commits with a quorum over N backups, and fuzzy checkpoints.
+// Each backup is one slot in a per-peer table (link, acked sequence,
+// liveness); commit() fans the batch out to every live peer. The backup end,
+// RedoApplier (repl/applier.hpp), shares only the layouts in repl/codec.hpp.
 //
 // Rejoin safety across failovers: a sequence number alone cannot tell a
 // shared prefix from a divergent one (a fenced primary may have committed
@@ -48,67 +22,17 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "cluster/membership.hpp"
+#include "repl/codec.hpp"
 #include "repl/link.hpp"
 #include "rio/arena.hpp"
 #include "util/metrics.hpp"
 
 namespace vrep::repl {
-
-// ---------------------------------------------------------------------------
-// Batch codec helpers (shared by every backend and the tests)
-// ---------------------------------------------------------------------------
-
-// One decoded redo chunk; `data` points into the carrier's buffer.
-struct RedoChunk {
-  std::uint64_t db_off;
-  std::uint32_t len;
-  const std::uint8_t* data;
-};
-
-// Structural validation of a kRedoBatch payload against a database size.
-bool batch_valid(const std::uint8_t* payload, std::size_t size, std::size_t db_size);
-// The batch's sequence number (payload must hold at least 8 bytes).
-std::uint64_t batch_seq(const std::uint8_t* payload);
-
-// Group frame payload (kRedoGroup): [u32 count | { u32 len, batch payload }*]
-// where every sub-payload is a kRedoBatch payload and the sub-batch
-// sequences are contiguous and ascending. Structural validation (including
-// per-sub-batch batch_valid and the contiguity rule).
-bool group_valid(const std::uint8_t* payload, std::size_t size, std::size_t db_size);
-
-// Zero-copy iteration over a *validated* kRedoGroup payload's sub-batches.
-class GroupReader {
- public:
-  GroupReader(const std::uint8_t* payload, std::size_t size);
-  std::uint32_t count() const { return count_; }
-  bool next(const std::uint8_t** batch, std::size_t* len);
-
- private:
-  const std::uint8_t* payload_;
-  std::size_t size_;
-  std::size_t at_ = 4;
-  std::uint32_t count_ = 0;
-};
-
-// Zero-copy iteration over a *validated* batch payload's chunks.
-class BatchReader {
- public:
-  BatchReader(const std::uint8_t* payload, std::size_t size) : payload_(payload), size_(size) {}
-  bool next(RedoChunk* out);
-
- private:
-  const std::uint8_t* payload_;
-  std::size_t size_;
-  std::size_t at_ = 8;
-};
-
-// ---------------------------------------------------------------------------
-// RedoPipeline — primary-side protocol engine
-// ---------------------------------------------------------------------------
 
 class RedoPipeline {
  public:
@@ -208,12 +132,11 @@ class RedoPipeline {
   std::size_t peer_count() const { return peers_.size(); }
   bool peer_alive(std::size_t peer) const { return peers_[peer].alive; }
   std::uint64_t peer_acked_seq(std::size_t peer) const { return peers_[peer].acked_seq; }
-  std::size_t live_peers() const;
 
   // ---- staging + commit -------------------------------------------------
   void begin();
-  // CHECKs that the chunk fits the u32 wire format (see the batch-format
-  // comment above): off + len must not exceed 4 GiB.
+  // CHECKs that the chunk fits the u32 batch format (see repl/codec.hpp):
+  // off + len must not exceed 4 GiB.
   void stage(std::uint64_t off, const void* src, std::size_t len);
   void discard();
   // Encode the staged chunks as sequence `seq`, retain them in the bounded
@@ -262,11 +185,11 @@ class RedoPipeline {
 
   // ---- cross-shard 2PC hooks ---------------------------------------------
   // Phase 1 of cross-shard two-phase commit (shard::CrossShardCoordinator).
-  // Encodes the staged chunks as sequence `seq` and ships them to every live
-  // peer as one kXPrepare frame ([u64 xid | batch payload]); backups buffer
-  // the batch in-doubt — the sequence is consumed (applied_seq advances,
-  // acks cover it, so 2-safe coverage extends to prepares) but the bytes do
-  // NOT touch the replica image until the decision arrives. The batch is
+  // Encodes the staged chunks as sequence `seq` and ships them with the xid
+  // to every live peer as one kXPrepare frame; backups buffer the batch
+  // in-doubt — the sequence is consumed (applied_seq advances, acks cover
+  // it, so 2-safe coverage extends to prepares) but the bytes do NOT touch
+  // the replica image until the decision arrives. The batch is
   // retained here, OUTSIDE the replay history, until decide_cross() resolves
   // it; drivers must resolve every in-doubt transaction before serving a
   // rejoin, or the replayed history would have a hole at `seq`. Any pending
@@ -275,13 +198,13 @@ class RedoPipeline {
   // Fuzzy checkpoints do not compose with prepares yet (the staged bytes are
   // not in the source image at prepare time); enabling both is refused.
   CommitTicket prepare_cross(std::uint64_t seq, std::uint64_t xid);
-  // Phase 2: resolve a prepared transaction and fan the kXDecide frame
-  // ([u64 xid | u8 commit]) out to every live peer. Commit moves the held
-  // batch into the replay history at its sequence; abort replaces it with an
-  // empty batch (sequence consumed, zero chunks) so the history stays
-  // contiguous and rejoin replays advance a laggard's sequence past the
-  // aborted slot without writing anything. Returns false when `xid` is
-  // unknown (already resolved).
+  // Phase 2: resolve a prepared transaction and fan the kXDecide frame out
+  // to every live peer. Commit moves the held batch into the replay history
+  // at its sequence; abort replaces it with an empty batch (sequence
+  // consumed, zero chunks) so the history stays contiguous and rejoin
+  // replays advance a laggard's sequence past the aborted slot without
+  // writing anything. Returns false when `xid` is unknown (already
+  // resolved).
   bool decide_cross(std::uint64_t xid, bool commit);
   // Prepared-but-undecided transactions currently held.
   std::size_t in_doubt() const { return in_doubt_.size(); }
@@ -296,9 +219,6 @@ class RedoPipeline {
   void set_commit_window(unsigned w);
   unsigned commit_window() const { return window_; }
 
-  // Highest sequence actually handed to the carriers (trailing transactions
-  // of an unshipped group sit above this).
-  std::uint64_t shipped_seq() const { return shipped_seq_; }
   // Sequence of the most recent commit_async/commit (0 before the first).
   std::uint64_t last_ticket_seq() const { return last_ticket_seq_; }
 
@@ -394,7 +314,6 @@ class RedoPipeline {
   struct PeerSlot {
     ReplicationLink* link = nullptr;
     std::uint64_t acked_seq = 0;
-    std::uint64_t rejoins_served = 0;
     bool alive = false;
     int silent = 0;  // consecutive 2-safe probe timeouts (reset on traffic)
     metrics::Counter* shipped = nullptr;  // repl.primary.peer<i>.txns_shipped
@@ -412,9 +331,19 @@ class RedoPipeline {
   // or every live peer (a planned-handoff drain).
   enum class Coverage : std::uint8_t { kQuorum, kEveryLivePeer };
 
-  bool link_send(PeerSlot& peer, FrameKind kind, const void* payload, std::size_t len);
+  // Every send goes through here: a failed send marks the peer down.
+  bool link_send(PeerSlot& peer, FrameKind kind, Payload payload);
+  // Fire and forget to every live peer, counting `txns` shipped on each peer
+  // that took the frame; true if any did. A failed peer never blocks or fails
+  // the local commits (1-safe; the 2-safe wait is the window backpressure).
+  bool broadcast(FrameKind kind, Payload payload, std::uint64_t txns);
+  // A heartbeat carrying the shipped watermark, sent to a live peer while
+  // unfenced: a caught-up backup answers with an ack, a behind one with a
+  // resync request.
+  void probe(PeerSlot& peer);
   void fence(std::uint64_t newer_epoch);
   void drain(PeerSlot& peer);
+  void drain_live();
   // Flush + probe + receive until `rule`'s acks cover `target`, we are
   // fenced, or no live peer can still provide them (silent peers are marked
   // down after the probe budget).
@@ -439,8 +368,9 @@ class RedoPipeline {
   // land after later sequences), evicting the oldest past the byte budget.
   void insert_history(std::uint64_t seq, std::vector<std::uint8_t> batch);
   bool sync_peer(PeerSlot& peer);
-  bool serve_rejoin(PeerSlot& peer, std::uint64_t backup_seq, std::uint64_t node_id,
-                    std::uint64_t state_epoch);
+  // The one kRejoinRequest path: decode, fence on a newer epoch, or serve.
+  // nullopt for a malformed request; otherwise whether it was served.
+  std::optional<bool> serve_rejoin(PeerSlot& peer, const Frame& frame);
   bool history_covers(std::uint64_t from_seq) const;
   // Per-commit checkpoint work: dirty-page accounting, the background image
   // copy + prefix patching, and completion (watermark + history truncation).
@@ -492,177 +422,6 @@ class RedoPipeline {
   std::vector<std::uint64_t> page_seq_;       // last commit seq dirtying each page
   std::vector<std::uint64_t> ckpt_page_seq_;  // page_seq_ snapshot at completion
   std::vector<std::pair<std::uint64_t, std::uint32_t>> staged_spans_;  // this txn
-};
-
-// ---------------------------------------------------------------------------
-// RedoApplier — backup-side protocol engine
-// ---------------------------------------------------------------------------
-
-class RedoApplier {
- public:
-  // Where replica bytes land. The TCP/loopback backends memcpy into an
-  // arena; the simulated backend routes through the instrumented bus so
-  // cache-model costs are charged exactly as before.
-  struct Target {
-    virtual void write(std::uint64_t off, const void* src, std::size_t len) = 0;
-    virtual std::size_t capacity() const = 0;
-    // Read view of the replica image. Checkpoint installs verify the
-    // combined (current image + buffered chunks) CRC against the watermark
-    // BEFORE any chunk is written, so a torn install never reaches the
-    // replica bytes.
-    virtual const std::uint8_t* data() const = 0;
-
-   protected:
-    ~Target() = default;
-  };
-
-  struct Stats {
-    std::uint64_t batches_applied = 0;
-    std::uint64_t duplicates_ignored = 0;  // seq <= applied (dups, replays)
-    std::uint64_t gaps_detected = 0;       // seq > applied+1 (dropped/corrupt)
-    std::uint64_t corrupt_skipped = 0;     // payload-corrupt frames skipped
-    std::uint64_t stale_fenced = 0;        // stale-epoch frames rejected
-    std::uint64_t resyncs = 0;             // completed kRejoinDelta / kHello resyncs
-    std::uint64_t checkpoint_installs = 0;  // CRC-verified checkpoint adoptions
-    std::uint64_t checkpoint_aborts = 0;    // torn/stale installs discarded
-    std::uint64_t prepares_buffered = 0;    // kXPrepare batches held in-doubt
-    std::uint64_t decides_committed = 0;    // in-doubt resolved by applying
-    std::uint64_t decides_aborted = 0;      // in-doubt resolved by discarding
-  };
-
-  // With a `membership`, stale-epoch frames are fenced and the epoch follows
-  // the primary's hello/delta frames; `node_id` identifies this node in
-  // rejoin requests so the primary can adopt it into the view.
-  explicit RedoApplier(Target& target, cluster::Membership* membership = nullptr,
-                       std::uint64_t node_id = 1)
-      : target_(target), membership_(membership), node_id_(node_id) {}
-
-  enum class FrameResult {
-    kOk,       // handled (applied, ignored, or answered in-band)
-    kCorrupt,  // unrecoverable protocol violation (should not happen)
-  };
-
-  // Feed one received frame through the protocol state machine; responses
-  // (acks, resync requests, fences) go out through `link`.
-  FrameResult on_frame(const Frame& frame, ReplicationLink& link);
-
-  // Announce our applied sequence after a (re)connect; the primary answers
-  // with a delta replay or a full image sync. A fresh backup (nothing
-  // applied, no image) asks from sequence 0, which always yields the image.
-  bool request_rejoin(ReplicationLink& link);
-
-  // Seed the replica from an existing database image (e.g. a demoted
-  // primary rejoining with its own last state). `state_epoch` is the epoch
-  // under which that state was produced.
-  void seed(const std::uint8_t* db, std::size_t size, std::uint64_t applied_seq,
-            std::uint64_t state_epoch);
-  // Adopt an image installed out-of-band (the simulated backend copies the
-  // initial image directly; the paper seeds backups before enabling them).
-  void adopt_image(std::size_t size, std::uint64_t applied_seq, std::uint64_t state_epoch);
-
-  // Direct data-plane entry for backends that decode their own wire format
-  // (the simulated ring): same sequencing/duplicate/gap rules as a
-  // kRedoBatch frame. Returns true if the batch was applied.
-  bool apply_decoded(std::uint64_t seq, const RedoChunk* chunks, std::size_t count,
-                     std::uint64_t epoch) {
-    return apply_decoded(seq, seq, chunks, count, epoch);
-  }
-  // Group variant: `chunks` holds the concatenated redo of the contiguous
-  // sequences [first_seq, last_seq], applied atomically (the ring's group
-  // marker guarantees the bytes arrived whole). Duplicate/gap rules apply to
-  // the group as a unit.
-  bool apply_decoded(std::uint64_t first_seq, std::uint64_t last_seq, const RedoChunk* chunks,
-                     std::size_t count, std::uint64_t epoch);
-
-  std::uint64_t applied_seq() const { return applied_seq_; }
-  std::uint64_t next_expected_seq() const { return applied_seq_ + 1; }
-
-  // ---- snapshot reads at the applied watermark ----------------------------
-  // A backup serves reads from its replica image at applied_seq(). Batches
-  // apply atomically with respect to the caller's serialization (the wire
-  // backends lock per frame), so a read observes a prefix-consistent state:
-  // every commit <= at_seq, nothing after. Read-your-writes: a client holding
-  // CommitTicket seq S passes min_seq = S and is bounced (kLagging) until
-  // this replica has applied S — it can then retry here or pick a replica
-  // whose advertised watermark (RedoPipeline::peer_acked_seq) already covers S.
-  enum class ReadStatus : std::uint8_t {
-    kOk = 0,           // `len` bytes copied from the state as of at_seq
-    kLagging = 1,      // applied_seq() < min_seq: retry or pick another replica
-    kOutOfBounds = 2,  // range outside the image, or no complete image yet
-  };
-  struct ReadResult {
-    ReadStatus status = ReadStatus::kOutOfBounds;
-    std::uint64_t at_seq = 0;  // watermark the answer was produced at
-  };
-  ReadResult read_at_watermark(std::uint64_t off, std::uint32_t len,
-                               std::uint64_t min_seq, std::uint8_t* out) const;
-  // Epoch under which the last applied state (image or batch) was produced.
-  std::uint64_t state_epoch() const { return state_epoch_; }
-  std::size_t db_size() const { return db_size_; }
-  // The image transfer ships chunks sequentially from offset 0; a replica
-  // is only usable once a contiguous prefix covers the whole database.
-  bool image_complete() const { return db_size_ > 0 && image_next_off_ >= db_size_; }
-  const Stats& stats() const { return stats_; }
-  std::uint64_t epoch() const { return membership_ != nullptr ? membership_->view().epoch : 1; }
-
-  // A payload-corrupt frame was skipped by the carrier (the applier never
-  // saw it): account it and repair the gap in-band.
-  void note_corrupt_skipped(ReplicationLink& link);
-
-  // True while a checkpoint install is buffering chunks (between kCkptBegin
-  // and the verified kCkptEnd). The replica image is untouched until the
-  // End's CRC proves the combined result, so a mid-install takeover still
-  // promotes the clean pre-install state.
-  bool checkpoint_installing() const { return ckpt_installing_; }
-
-  // ---- cross-shard 2PC (backup side) -------------------------------------
-  // Prepared-but-undecided transactions buffered by kXPrepare frames: their
-  // sequences are consumed (applied_seq covers them) but the bytes have not
-  // touched the replica image. A promoted backup resolves them against the
-  // coordinator's home-shard decision log before serving traffic.
-  std::size_t in_doubt() const { return in_doubt_.size(); }
-  std::vector<std::uint64_t> in_doubt_xids() const;
-  // Resolve one buffered in-doubt transaction: commit applies its chunks to
-  // the image, abort discards them. Used both by the kXDecide frame handler
-  // and by the takeover driver. Returns false when `xid` is not held.
-  bool resolve_in_doubt(std::uint64_t xid, bool commit);
-
- private:
-  bool apply_batch(const Frame& frame);
-  void apply_validated(const std::uint8_t* payload, std::size_t size);
-  void on_group_frame(const Frame& frame, ReplicationLink& link);
-  void on_prepare_frame(const Frame& frame, ReplicationLink& link);
-  void on_decide_frame(const Frame& frame);
-  void maybe_request_resync(ReplicationLink& link);
-  void on_ckpt_begin(const Frame& frame, ReplicationLink& link);
-  void on_ckpt_chunk(const Frame& frame, ReplicationLink& link);
-  void on_ckpt_end(const Frame& frame, ReplicationLink& link);
-  void clear_checkpoint_install();
-  // Drop a torn/unverifiable install and re-request from our real sequence.
-  void abort_checkpoint_install(ReplicationLink& link);
-
-  Target& target_;
-  cluster::Membership* membership_;
-  std::uint64_t node_id_;
-  std::size_t db_size_ = 0;
-  std::size_t image_next_off_ = 0;
-  std::uint64_t applied_seq_ = 0;
-  std::uint64_t state_epoch_ = 0;
-  bool awaiting_resync_ = false;
-  Stats stats_;
-  // Checkpoint install buffer (see checkpoint_installing()).
-  struct PendingChunk {
-    std::uint64_t off;
-    std::vector<std::uint8_t> bytes;
-  };
-  bool ckpt_installing_ = false;
-  std::uint64_t ckpt_install_seq_ = 0;
-  std::uint32_t ckpt_install_crc_ = 0;
-  std::uint32_t ckpt_chunks_expected_ = 0;
-  std::vector<PendingChunk> ckpt_chunks_;
-  // In-doubt 2PC batches: xid -> validated kRedoBatch payload, buffered at
-  // prepare and applied/discarded at decide (or takeover resolution).
-  std::map<std::uint64_t, std::vector<std::uint8_t>> in_doubt_;
 };
 
 }  // namespace vrep::repl

@@ -7,6 +7,7 @@
 
 #include "cluster/membership.hpp"
 #include "core/latch.hpp"
+#include "repl/applier.hpp"
 #include "repl/inline_link.hpp"
 #include "repl/pipeline.hpp"
 #include "shard/rebalancer.hpp"

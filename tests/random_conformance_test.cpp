@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "core/api.hpp"
+#include "repl/applier.hpp"
 #include "repl/link.hpp"
 #include "repl/pipeline.hpp"
 #include "rio/arena.hpp"
