@@ -1,7 +1,6 @@
 #include "harness/experiment.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <vector>
@@ -181,12 +180,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   }
   result.tps = result.seconds == 0 ? 0 : static_cast<double>(result.committed) / result.seconds;
   return result;
-}
-
-std::string format_ratio(double measured, double paper) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.2fx", paper == 0 ? 0 : measured / paper);
-  return buf;
 }
 
 }  // namespace vrep::harness

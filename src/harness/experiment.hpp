@@ -54,8 +54,4 @@ struct ExperimentResult {
 
 ExperimentResult run_experiment(const ExperimentConfig& config);
 
-// Formats "123456" style TPS plus a paper-comparison ratio line; helper for
-// the bench binaries.
-std::string format_ratio(double measured, double paper);
-
 }  // namespace vrep::harness

@@ -97,6 +97,5 @@ bool PersistentHeap::validate() const {
 }
 
 std::uint64_t PersistentHeap::bytes_in_use() const { return root_->in_use; }
-std::uint64_t PersistentHeap::high_watermark() const { return root_->watermark; }
 
 }  // namespace vrep::rio

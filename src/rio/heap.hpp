@@ -45,7 +45,6 @@ class PersistentHeap {
   bool validate() const;
 
   std::uint64_t bytes_in_use() const;
-  std::uint64_t high_watermark() const;
 
  private:
   struct Header {  // persistent, 16 bytes, precedes every payload

@@ -44,11 +44,6 @@ std::size_t Rebalancer::moving_records(const ShardMap& live, const ShardMap& tar
   return n;
 }
 
-const ShardMap& Rebalancer::target() const {
-  VREP_CHECK(cluster_.migration_ != nullptr);
-  return cluster_.migration_->target;
-}
-
 void Rebalancer::begin(const ShardMap& target) {
   VREP_CHECK(cluster_.migration_ == nullptr);
   VREP_CHECK(target.version() == cluster_.map_.version() + 1);

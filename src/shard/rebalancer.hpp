@@ -66,7 +66,6 @@ class Rebalancer {
   void begin_merge(ShardId victim);
 
   bool active() const { return cluster_.migration_ != nullptr; }
-  const ShardMap& target() const;
 
   // One bounded chunk of transfer work. Returns true while transfer work
   // remains after this chunk; false when the moving set looked drained —

@@ -638,9 +638,6 @@ std::uint64_t ShardedCluster::shard_epoch(ShardId id) const {
 std::size_t ShardedCluster::backup_count(ShardId id) const {
   return shards_.at(id)->backups.size();
 }
-const std::uint8_t* ShardedCluster::backup_db(ShardId id, std::size_t backup) const {
-  return shards_.at(id)->backups.at(backup)->target.bytes.data();
-}
 std::uint64_t ShardedCluster::backup_applied(ShardId id, std::size_t backup) const {
   return shards_.at(id)->backups.at(backup)->applier.applied_seq();
 }

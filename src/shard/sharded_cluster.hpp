@@ -217,7 +217,6 @@ class ShardedCluster {
   std::uint64_t shard_committed(ShardId id) const;
   std::uint64_t shard_epoch(ShardId id) const;
   std::size_t backup_count(ShardId id) const;
-  const std::uint8_t* backup_db(ShardId id, std::size_t backup) const;
   std::uint64_t backup_applied(ShardId id, std::size_t backup) const;
   // Prepared-but-undecided transactions still buffered anywhere on a shard
   // (primary pipeline + every backup applier). 0 after a completed run.
