@@ -47,8 +47,7 @@ bool InprocTransport::send_bytes(const void* bytes, std::size_t len) {
     error_ = TransportError::kClosed;
     return false;
   }
-  const auto* p = static_cast<const std::uint8_t*>(bytes);
-  out_->bytes.insert(out_->bytes.end(), p, p + len);
+  out_->append(static_cast<const std::uint8_t*>(bytes), len);
   out_->cv.notify_all();
   return true;
 }
@@ -62,6 +61,29 @@ bool InprocTransport::send(MsgType type, std::uint64_t epoch, const void* payloa
   frames.add(1);
   bytes.add(frame.size());
   return true;
+}
+
+void InprocTransport::Stream::append(const std::uint8_t* p, std::size_t len) {
+  // Drop the consumed prefix before the buffer would grow to keep it: the
+  // move touches only unread bytes, and the buffer stays as small as the
+  // backlog, as it was when every recv erased its frame.
+  if (head != 0 && bytes.size() + len > bytes.capacity()) drop_consumed();
+  bytes.insert(bytes.end(), p, p + len);
+}
+
+void InprocTransport::Stream::consume(std::size_t n) {
+  head += n;
+  if (head == bytes.size()) {
+    bytes.clear();
+    head = 0;
+  } else if (head > bytes.size() / 2) {
+    drop_consumed();
+  }
+}
+
+void InprocTransport::Stream::drop_consumed() {
+  bytes.erase(bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(head));
+  head = 0;
 }
 
 std::optional<Message> InprocTransport::recv(int timeout_ms) {
@@ -82,14 +104,17 @@ std::optional<Message> InprocTransport::recv(int timeout_ms) {
     std::size_t frame_bytes = 0;  // header + payload, once the header verified
     bool expired = false;
     for (;;) {
-      std::vector<std::uint8_t>& bytes = in_->bytes;
-      if (frame_bytes == 0 && bytes.size() >= sizeof hdr) {
-        std::memcpy(&hdr, bytes.data(), sizeof hdr);
+      // Re-read on every pass: a send while we waited may have reallocated.
+      const std::uint8_t* front = in_->bytes.data() + in_->head;
+      const std::size_t buffered = in_->bytes.size() - in_->head;
+      if (frame_bytes == 0 && buffered >= sizeof hdr) {
+        std::memcpy(&hdr, front, sizeof hdr);
         if (frame_header_crc(hdr) != hdr.header_crc || hdr.len > kMaxFramePayload) {
           // Same rule as TcpTransport: the length field cannot be trusted,
           // framing is lost for good. Close so the protocol layer resyncs via
           // rejoin; nothing buffered behind the bad header is parseable.
-          bytes.clear();
+          in_->bytes.clear();
+          in_->head = 0;
           lock.unlock();
           error_ = TransportError::kCorrupt;
           metrics::counter("net.transport.corrupt_headers").add(1);
@@ -98,12 +123,11 @@ std::optional<Message> InprocTransport::recv(int timeout_ms) {
         }
         frame_bytes = sizeof hdr + hdr.len;
       }
-      if (frame_bytes != 0 && bytes.size() >= frame_bytes) {
+      if (frame_bytes != 0 && buffered >= frame_bytes) {
         msg.type = static_cast<MsgType>(hdr.type);
         msg.epoch = hdr.epoch;
-        msg.payload.assign(bytes.begin() + sizeof hdr,
-                           bytes.begin() + static_cast<std::ptrdiff_t>(frame_bytes));
-        bytes.erase(bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(frame_bytes));
+        msg.payload.assign(front + sizeof hdr, front + frame_bytes);
+        in_->consume(frame_bytes);
         break;
       }
       if (in_->closed) {
@@ -112,7 +136,9 @@ std::optional<Message> InprocTransport::recv(int timeout_ms) {
         error_ = TransportError::kClosed;
         return std::nullopt;
       }
-      if (expired) {
+      if (expired || timeout_ms == 0) {
+        // A zero timeout is a poll: it never waits, not even on a deadline
+        // that has already passed (the timer slack would make that a sleep).
         error_ = TransportError::kTimeout;
         return std::nullopt;
       }

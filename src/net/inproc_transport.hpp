@@ -54,7 +54,17 @@ class InprocTransport final : public Transport {
     std::mutex mu;
     std::condition_variable cv;
     std::vector<std::uint8_t> bytes;
+    std::size_t head = 0;  // read offset: bytes before it are consumed
     bool closed = false;
+
+    // Append behind the unread bytes, dropping the consumed prefix first
+    // when the buffer would otherwise grow to keep it.
+    void append(const std::uint8_t* p, std::size_t len);
+    // Consume `n` bytes at the read offset. The offset returns to 0 whenever
+    // the buffer drains; the consumed prefix is erased once it passes half
+    // the buffer, so a backlog costs amortized O(1) per frame.
+    void consume(std::size_t n);
+    void drop_consumed();
   };
 
   std::shared_ptr<Stream> in_;   // peer writes, we read

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -45,17 +46,57 @@ TEST(Transport, RoundTripsFramedMessages) {
 }
 
 TEST(Transport, ManyMessagesArriveInOrder) {
-  LoopbackPair pair;
-  for (std::uint32_t i = 0; i < 500; ++i) {
-    ASSERT_TRUE(pair.client.send(MsgType::kRedoBatch, 1, &i, 4));
-  }
-  for (std::uint32_t i = 0; i < 500; ++i) {
-    auto msg = pair.server.recv(1000);
+  const auto expect_seq = [](const std::optional<Message>& msg, std::uint32_t want) {
     ASSERT_TRUE(msg.has_value());
     std::uint32_t got;
     std::memcpy(&got, msg->payload.data(), 4);
-    ASSERT_EQ(got, i);
+    ASSERT_EQ(got, want);
+  };
+  {
+    SCOPED_TRACE("tcp");
+    LoopbackPair pair;
+    for (std::uint32_t i = 0; i < 500; ++i) {
+      ASSERT_TRUE(pair.client.send(MsgType::kRedoBatch, 1, &i, 4));
+    }
+    for (std::uint32_t i = 0; i < 500; ++i) expect_seq(pair.server.recv(1000), i);
   }
+  {
+    // Two sends per recv(0) drain: the backlog grows, so the read offset sits
+    // mid-buffer whenever new bytes arrive behind it.
+    SCOPED_TRACE("inproc");
+    InprocTransport a, b;
+    InprocTransport::pair(a, b);
+    std::uint32_t received = 0;
+    for (std::uint32_t i = 0; i < 500; ++i) {
+      ASSERT_TRUE(a.send(MsgType::kRedoBatch, 1, &i, 4));
+      if (i % 2 == 1) expect_seq(b.recv(0), received++);
+    }
+    while (received < 500) expect_seq(b.recv(0), received++);
+    EXPECT_FALSE(b.recv(0).has_value());
+    EXPECT_EQ(b.last_error(), TransportError::kTimeout);
+    a.close_peer();
+    EXPECT_FALSE(b.recv(0).has_value());
+    EXPECT_EQ(b.last_error(), TransportError::kClosed);
+  }
+}
+
+TEST(Transport, InprocZeroTimeoutPollDoesNotSleep) {
+  // Regression: recv(0) on an empty in-process stream armed a timed wait on
+  // a deadline that had already passed, and the thread's timer slack turned
+  // each poll into a ~55 us sleep (about 550 ms for this loop). A poll that
+  // finds nothing must return at once, as TcpTransport's poll(0) does.
+  InprocTransport a, b;
+  InprocTransport::pair(a, b);
+  constexpr int kPolls = 10'000;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < kPolls; ++i) {
+    ASSERT_FALSE(b.recv(0).has_value());
+    ASSERT_EQ(b.last_error(), TransportError::kTimeout);
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  EXPECT_LT(elapsed, std::chrono::milliseconds(200))
+      << kPolls << " empty polls took "
+      << std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count() << " ms";
 }
 
 TEST(Transport, LargePayload) {
@@ -260,7 +301,8 @@ TEST(Transport, TimeoutMidFrameResumesOnTheNextRecv) {
   // away the bytes it had read, so the next recv parsed payload bytes as a
   // header, reported kCorrupt and closed the stream. The frame must resume
   // intact on the next call — split inside the header, at its end, and
-  // inside the payload, over both byte-stream transports.
+  // inside the payload, over both byte-stream transports, after both a poll
+  // (recv(0)) and a timed wait.
   std::vector<std::uint8_t> payload(256);
   for (std::size_t i = 0; i < payload.size(); ++i) payload[i] = static_cast<std::uint8_t>(i);
   const auto frame = encode_frame(MsgType::kRedoBatch, 4, payload.data(), payload.size());
@@ -269,8 +311,10 @@ TEST(Transport, TimeoutMidFrameResumesOnTheNextRecv) {
                                     sizeof(FrameHeader) + 100}) {
       SCOPED_TRACE("split at byte " + std::to_string(split));
       ASSERT_TRUE(sender.send_bytes(frame.data(), split));
-      EXPECT_FALSE(receiver.recv(50).has_value());
-      EXPECT_EQ(receiver.last_error(), TransportError::kTimeout);
+      for (const int timeout_ms : {0, 50}) {
+        EXPECT_FALSE(receiver.recv(timeout_ms).has_value()) << "timeout " << timeout_ms;
+        EXPECT_EQ(receiver.last_error(), TransportError::kTimeout) << "timeout " << timeout_ms;
+      }
       ASSERT_TRUE(sender.send_bytes(frame.data() + split, frame.size() - split));
       const auto msg = receiver.recv(1000);
       ASSERT_TRUE(msg.has_value()) << "error " << static_cast<int>(receiver.last_error());
