@@ -42,32 +42,27 @@ void SmpExecutor::Partition::on_captured_store(std::uint64_t off, const void* sr
 // StagingQueue
 // ---------------------------------------------------------------------------
 
-void SmpExecutor::StagingQueue::push(TxnRecord* record) {
+void SmpExecutor::StagingQueue::publish(std::uint64_t ticket, TxnRecord* record) {
   std::unique_lock<std::mutex> lock(mu_);
-  if (q_.size() >= capacity_) {
+  if (ticket >= head_ + slots_.size()) {
     ++full_waits_;
-    can_push_.wait(lock, [&] { return q_.size() < capacity_ || closed_; });
+    can_publish_.wait(lock, [&] { return ticket < head_ + slots_.size(); });
   }
-  VREP_CHECK(!closed_);  // producers are joined before close()
-  q_.push_back(record);
-  can_pop_.notify_one();
+  slots_[ticket % slots_.size()] = record;
+  // Only ticket head_ can unblock the sequencer; it skips every other slot.
+  if (ticket == head_) can_take_.notify_one();
 }
 
-SmpExecutor::TxnRecord* SmpExecutor::StagingQueue::pop() {
+void SmpExecutor::StagingQueue::take(std::vector<TxnRecord*>& out) {
   std::unique_lock<std::mutex> lock(mu_);
-  can_pop_.wait(lock, [&] { return !q_.empty() || closed_; });
-  if (q_.empty()) return nullptr;
-  TxnRecord* record = q_.front();
-  q_.pop_front();
-  can_push_.notify_one();
-  return record;
-}
-
-void SmpExecutor::StagingQueue::close() {
-  std::lock_guard<std::mutex> lock(mu_);
-  closed_ = true;
-  can_pop_.notify_all();
-  can_push_.notify_all();
+  const std::size_t capacity = slots_.size();
+  can_take_.wait(lock, [&] { return slots_[head_ % capacity] != nullptr; });
+  while (TxnRecord*& slot = slots_[head_ % capacity]) {
+    out.push_back(slot);
+    slot = nullptr;
+    ++head_;
+  }
+  can_publish_.notify_all();
 }
 
 std::uint64_t SmpExecutor::StagingQueue::full_waits() const {
@@ -108,10 +103,11 @@ SmpExecutor::SmpExecutor(const SmpConfig& config, repl::ReplicationLink* link)
   pipeline_.set_quorum(config_.quorum);
   pipeline_.set_commit_window(config_.commit_window);
   pipeline_.set_group_size(config_.group_size);
-  // Pre-size the record pool to the queue depth plus one in-flight record
-  // per worker, so the steady state never allocates.
+  // Pre-size the record pool so the steady state never allocates: the ring
+  // and the sequencer's batch each hold up to a queue's worth of records,
+  // and every worker holds one more in flight.
   std::lock_guard<std::mutex> lock(free_mu_);
-  for (std::size_t i = 0; i < config_.queue_capacity + config_.workers + 1; ++i) {
+  for (std::size_t i = 0; i < 2 * queue_.capacity() + config_.workers + 1; ++i) {
     records_.push_back(std::make_unique<TxnRecord>());
     free_.push_back(records_.back().get());
   }
@@ -142,9 +138,9 @@ SmpExecutor::TxnRecord* SmpExecutor::acquire_record() {
   return record;
 }
 
-void SmpExecutor::release_record(TxnRecord* record) {
+void SmpExecutor::release_records(const std::vector<TxnRecord*>& records) {
   std::lock_guard<std::mutex> lock(free_mu_);
-  free_.push_back(record);
+  free_.insert(free_.end(), records.begin(), records.end());
 }
 
 void SmpExecutor::worker_main(unsigned index) {
@@ -159,38 +155,49 @@ void SmpExecutor::worker_main(unsigned index) {
     Partition& part = *partitions_[pi];
     TxnRecord* rec = acquire_record();
     rec->clear();
-    core::LatchGuard guard(part.latch);
-    part.current = rec;
-    part.workload->run_txn(*part.store, rng);
-    part.current = nullptr;
-    // Enqueue before releasing the latch: the global queue order is then a
-    // linearization of this partition's commit order, so the backup applies
-    // overlapping writes in the order they committed. push() may block on a
-    // full queue — holding the latch while blocked is safe (the sequencer
-    // drains the queue and never takes latches).
-    queue_.push(rec);
+    std::uint64_t ticket = 0;
+    {
+      core::LatchGuard guard(part.latch);
+      part.current = rec;
+      part.workload->run_txn(*part.store, rng);
+      part.current = nullptr;
+      // Take the ticket before releasing the latch: ticket order is then a
+      // linearization of this partition's commit order, so the backup
+      // applies overlapping writes in the order they committed.
+      ticket = queue_.ticket();
+    }
+    // Publish with the latch released: a full ring blocks this worker only,
+    // never the next transaction on its partition.
+    queue_.publish(ticket, rec);
   }
 }
 
 void SmpExecutor::sequencer_main() {
   // The lone writer into the pipeline: replays each record's captured spans
   // as staged redo and commits it under the next global sequence. 2-safe
-  // window stalls block here; the bounded queue relays the backpressure to
-  // the workers.
-  while (TxnRecord* rec = queue_.pop()) {
-    pipeline_.begin();
-    const std::uint8_t* p = rec->bytes.data();
-    for (const auto& [off, len] : rec->spans) {
-      pipeline_.stage(off, p, len);
-      p += len;
+  // window stalls block here; the bounded ring relays the backpressure to
+  // the workers. Every worker publishes exactly txns_per_worker records.
+  const std::uint64_t total = std::uint64_t{config_.workers} * config_.txns_per_worker;
+  std::vector<TxnRecord*> batch;
+  batch.reserve(queue_.capacity());
+  for (std::uint64_t taken = 0; taken < total; taken += batch.size()) {
+    batch.clear();
+    queue_.take(batch);
+    for (TxnRecord* rec : batch) {
+      pipeline_.begin();
+      const std::uint8_t* p = rec->bytes.data();
+      for (const auto& [off, len] : rec->spans) {
+        pipeline_.stage(off, p, len);
+        p += len;
+      }
+      const std::uint64_t seq = committed_.load(std::memory_order_relaxed) + 1;
+      // Publish before commit_async: the pipeline reads Source::committed_seq
+      // on its commit path (shipped watermark), expecting the local commit to
+      // precede it — same order as repl::ReplicatedStore.
+      committed_.store(seq, std::memory_order_release);
+      pipeline_.commit_async(seq);
     }
-    const std::uint64_t seq = committed_.load(std::memory_order_relaxed) + 1;
-    // Publish before commit_async: the pipeline reads Source::committed_seq
-    // on its commit path (shipped watermark), expecting the local commit to
-    // precede it — same order as repl::ReplicatedStore.
-    committed_.store(seq, std::memory_order_release);
-    pipeline_.commit_async(seq);
-    release_record(rec);
+    release_records(batch);
   }
 }
 
@@ -199,15 +206,17 @@ SmpExecutor::Result SmpExecutor::run() {
   ran_ = true;
   quiesced_.store(false, std::memory_order_release);
   const auto t0 = std::chrono::steady_clock::now();
-  std::thread sequencer([this] { sequencer_main(); });
   std::vector<std::thread> workers;
   workers.reserve(config_.workers);
   for (unsigned w = 0; w < config_.workers; ++w) {
     workers.emplace_back([this, w] { worker_main(w); });
   }
+  // Sequence on this thread rather than a fresh one: besides keeping the
+  // pipeline on its owner's thread, the redo history it allocates then stays
+  // in this thread's malloc arena from one executor to the next, where a new
+  // thread per run() could leave a history-sized free block in every arena.
+  sequencer_main();
   for (auto& t : workers) t.join();
-  queue_.close();
-  sequencer.join();
   // Resolve everything still in flight (ship a partial group, wait out the
   // 2-safe window) so `committed` below is fully replicated.
   pipeline_.sync();

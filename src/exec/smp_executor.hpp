@@ -4,13 +4,14 @@
 // through sim::CacheModel; this executor produces the same shape with real
 // std::thread workers on wall-clock time:
 //
-//   workers (N threads)                 sequencer (1 thread)
-//   ─────────────────────               ───────────────────────────
-//   pick a partition                    pop TxnRecord (commit order)
-//   acquire its core::Latch             pipeline.begin()
-//   run one workload txn                pipeline.stage(...) per span
-//   (bus capture -> TxnRecord)          pipeline.commit_async(++seq)
-//   enqueue record, release   ──queue─▶ recycle record
+//   workers (N threads)                 sequencer (the caller of run())
+//   ─────────────────────               ───────────────────────────────
+//   pick a partition                    take the published prefix
+//   acquire its core::Latch             per record, in ticket order:
+//   run one workload txn                  pipeline.begin()
+//   (bus capture -> TxnRecord)              pipeline.stage(...) per span
+//   take an order ticket, release           pipeline.commit_async(++seq)
+//   publish(ticket, record)   ──ring──▶ recycle the whole batch
 //
 // The database is partitioned: each partition is an independent Version 3
 // store + workload instance over its own pass-through MemBus, mapped at
@@ -18,25 +19,30 @@
 // partition for the duration of one transaction; the store's write capture
 // (the same mechanism repl::ReplicatedStore uses) globalizes the redo
 // offsets into a thread-owned TxnRecord. Records are handed to the sequencer
-// through a bounded MPSC queue — the enqueue happens while the partition
-// latch is still held, so the queue order is a linearization of every
-// partition's commit order and the backup replays writes to each record in
-// commit order.
+// through a bounded ring indexed by order ticket. A worker takes its ticket
+// (one atomic fetch_add) while the partition latch is still held, so ticket
+// order is a linearization of every partition's commit order and the backup
+// replays writes to each record in commit order. It publishes the record
+// into the ring only after releasing the latch, so no worker blocks on a
+// full ring while it holds a latch.
 //
 // The sequencer is the ONLY thread that touches the RedoPipeline and link
-// (the pipeline stays single-writer; no protocol changes). Group commit and
-// the bounded in-flight ack window are the natural backpressure: a 2-safe
-// window stall blocks the sequencer, the bounded queue then blocks the
-// workers. Partitioned multi-primary sequencing is the shard layer's job
+// (the pipeline stays single-writer; no protocol changes). It is the thread
+// that calls run(), so the pipeline and link never change threads. Group
+// commit and the bounded in-flight ack window are the natural backpressure:
+// a 2-safe window stall blocks the sequencer, the bounded ring then blocks
+// the workers. Partitioned multi-primary sequencing is the shard layer's job
 // (shard/sharded_cluster.hpp).
 //
 // Threading contract (what the TSan preset verifies):
 //   * a partition's store/workload/bus/current-record pointer are touched
 //     only under its Latch, or by the owner before run() / after run();
-//   * TxnRecords travel worker -> queue -> sequencer -> freelist, with every
-//     handoff under a mutex (release/acquire ordered bytes);
-//   * the pipeline + link are confined to the sequencer thread while run()
-//     is live, and to the owner when quiesced;
+//   * TxnRecords travel worker -> ring -> sequencer -> freelist, with every
+//     handoff under a mutex (release/acquire ordered bytes); the sequencer
+//     takes the whole published prefix of the ring under one lock and
+//     returns a batch to the freelist under one lock;
+//   * the pipeline + link are confined to the owner's thread, which is the
+//     sequencer while run() is live;
 //   * cross-thread counters (committed sequence) are atomics.
 //
 // Rejoin/sync/checkpoint operations read Source::db(), which gathers the
@@ -47,7 +53,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -82,7 +87,8 @@ struct SmpConfig {
   unsigned commit_window = 1;
   unsigned group_size = 1;
   // Staged-but-unsequenced transactions before workers block (backpressure
-  // relayed from the sequencer / the 2-safe ack window).
+  // relayed from the sequencer / the 2-safe ack window): a worker whose
+  // ticket is this far ahead of the sequencer waits to publish.
   std::size_t queue_capacity = 256;
   std::uint64_t seed = 1;
   // Partition routing hook: maps the worker's per-txn draw to a partition
@@ -108,16 +114,16 @@ class SmpExecutor final : private repl::RedoPipeline::Source {
     double seconds = 0;
     double tps = 0;
     std::uint64_t latch_contended = 0;   // worker found a partition latch held
-    std::uint64_t queue_full_waits = 0;  // worker blocked on the full queue
+    std::uint64_t queue_full_waits = 0;  // worker blocked on the full ring
   };
 
   // Ship the current image + sequence to the attached backup (call before
   // run() to seed it; requires a quiesced executor, like every image read).
   bool sync_backup() { return pipeline_.sync_backup(); }
 
-  // Run workers x txns_per_worker transactions, drain the sequencer, then
-  // pipeline.sync() so every commit is resolved (2-safe: quorum-covered).
-  // Blocking; callable once.
+  // Run workers x txns_per_worker transactions on worker threads while the
+  // calling thread sequences them, then pipeline.sync() so every commit is
+  // resolved (2-safe: quorum-covered). Blocking; callable once.
   Result run();
 
   // Logical consistency of every partition's committed state (empty string
@@ -133,7 +139,7 @@ class SmpExecutor final : private repl::RedoPipeline::Source {
   unsigned partition_count() const { return static_cast<unsigned>(partitions_.size()); }
 
   // Protocol engine — knobs and stats for tests/benches. Touch only while
-  // quiesced (the sequencer owns it during run()).
+  // quiesced (run() drives it).
   repl::RedoPipeline& pipeline() { return pipeline_; }
 
  private:
@@ -167,24 +173,32 @@ class SmpExecutor final : private repl::RedoPipeline::Source {
     void on_captured_store(std::uint64_t off, const void* src, std::size_t len) override;
   };
 
-  // Bounded MPSC handoff worker -> sequencer. close() releases the consumer
-  // once the queue drains.
+  // Bounded MPSC handoff worker -> sequencer, ordered by ticket: ticket t
+  // lands in slot t % capacity, and the sequencer consumes tickets strictly
+  // in order from head_. publish() blocks only while its ticket is a full
+  // ring ahead of head_, so the holder of ticket head_ can always publish and
+  // the sequencer always makes progress.
   class StagingQueue {
    public:
-    explicit StagingQueue(std::size_t capacity) : capacity_(capacity) {}
-    void push(TxnRecord* record);  // blocks while full
-    TxnRecord* pop();              // blocks; nullptr once closed and drained
-    void close();
+    explicit StagingQueue(std::size_t capacity) : slots_(capacity, nullptr) {}
+    // Take the next order ticket. Call under the partition latch, which then
+    // orders the tickets of one partition as it orders their commits.
+    std::uint64_t ticket() { return next_ticket_.fetch_add(1); }
+    void publish(std::uint64_t ticket, TxnRecord* record);  // blocks while full
+    // Blocks until ticket head_ is published, then appends every published
+    // record from head_ on to `out`, in ticket order.
+    void take(std::vector<TxnRecord*>& out);
+    std::size_t capacity() const { return slots_.size(); }
     std::uint64_t full_waits() const;  // call after the threads are joined
 
    private:
+    std::atomic<std::uint64_t> next_ticket_{0};
     mutable std::mutex mu_;
-    std::condition_variable can_push_;
-    std::condition_variable can_pop_;
-    std::deque<TxnRecord*> q_;
-    std::size_t capacity_;
+    std::condition_variable can_publish_;
+    std::condition_variable can_take_;
+    std::vector<TxnRecord*> slots_;  // null = not yet published
+    std::uint64_t head_ = 0;         // next ticket the sequencer takes
     std::uint64_t full_waits_ = 0;
-    bool closed_ = false;
   };
 
   // RedoPipeline::Source — db() gathers the partitions (quiesced only).
@@ -197,7 +211,7 @@ class SmpExecutor final : private repl::RedoPipeline::Source {
   void worker_main(unsigned index);
   void sequencer_main();
   TxnRecord* acquire_record();
-  void release_record(TxnRecord* record);
+  void release_records(const std::vector<TxnRecord*>& records);
 
   SmpConfig config_;
   std::size_t stride_;  // == config_.partition_db_size

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <thread>
 
 #include "exec/smp_executor.hpp"
@@ -100,6 +101,38 @@ TEST(SmpExecutor, RaceHammerContendedWorkersConverge) {
   harness.stop();
   EXPECT_EQ(result.committed, 6'000u);
   expect_converged(executor, harness, 6'000);
+}
+
+// Commit order through the hand-off: eight workers serialize on ONE
+// partition, so consecutive transactions rewrite the same branch and teller
+// rows, and a tiny ring keeps workers waiting to publish while others
+// commit. Ticket order must still be the latch order, or the
+// backup replays two overlapping writes out of order and its image diverges.
+// Taking the ticket after releasing the latch lets two of the partition's
+// commits swap places; the wider that gap, the more often this test catches
+// it, while RaceHammer and TinyQueue miss it.
+TEST(SmpExecutor, OnePartitionReplicatedKeepsCommitOrder) {
+  for (const std::uint64_t seed : {1, 2, 3, 4, 5}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    SmpConfig config;
+    config.workload = wl::WorkloadKind::kDebitCredit;
+    config.workers = 8;
+    config.partitions = 1;
+    config.queue_capacity = 4;
+    config.txns_per_worker = 2'000;
+    config.two_safe = true;
+    config.commit_window = 8;
+    config.group_size = 4;
+    config.seed = seed;
+    BackupHarness harness;
+    SmpExecutor executor(config, &harness.link);
+    harness.start(executor.image_size());
+    ASSERT_TRUE(executor.sync_backup());
+    const auto result = executor.run();
+    harness.stop();
+    EXPECT_EQ(result.committed, 16'000u);
+    expect_converged(executor, harness, 16'000);
+  }
 }
 
 TEST(SmpExecutor, OrderEntryWorkloadConverges) {
