@@ -38,7 +38,10 @@ void WirePrimary::attach_transport(std::size_t peer, Transport* transport) {
 // ---------------------------------------------------------------------------
 
 void WireBackup::write(std::uint64_t off, const void* src, std::size_t len) {
-  std::memcpy(arena_->data() + off, src, len);
+  // Bytes the replica already holds are left alone: a full sync of a mostly
+  // zero image then never dirties the fresh arena's zero pages.
+  std::uint8_t* dst = arena_->data() + off;
+  if (std::memcmp(dst, src, len) != 0) std::memcpy(dst, src, len);
 }
 
 WireBackup::ServeResult WireBackup::serve(Transport& transport, const ServeOptions& options) {

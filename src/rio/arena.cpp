@@ -13,10 +13,14 @@
 namespace vrep::rio {
 
 Arena Arena::create(std::size_t len) {
+  // Anonymous pages read as zero and become resident only when first
+  // written, so a database region a workload never touches costs no memory.
+  void* p = ::mmap(nullptr, len, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  VREP_CHECK(p != MAP_FAILED);
   Arena a;
-  a.data_ = new std::uint8_t[len]();
+  a.data_ = static_cast<std::uint8_t*>(p);
   a.size_ = len;
-  a.mapped_ = false;
+  a.file_backed_ = false;
   return a;
 }
 
@@ -30,11 +34,11 @@ Arena Arena::map_file(const std::string& path, std::size_t len) {
   Arena a;
   a.data_ = static_cast<std::uint8_t*>(p);
   a.size_ = len;
-  a.mapped_ = true;
+  a.file_backed_ = true;
   return a;
 }
 
-Arena::Arena(Arena&& o) noexcept : data_(o.data_), size_(o.size_), mapped_(o.mapped_) {
+Arena::Arena(Arena&& o) noexcept : data_(o.data_), size_(o.size_), file_backed_(o.file_backed_) {
   o.data_ = nullptr;
   o.size_ = 0;
 }
@@ -44,23 +48,19 @@ Arena& Arena::operator=(Arena&& o) noexcept {
     this->~Arena();
     data_ = std::exchange(o.data_, nullptr);
     size_ = std::exchange(o.size_, 0);
-    mapped_ = o.mapped_;
+    file_backed_ = o.file_backed_;
   }
   return *this;
 }
 
 Arena::~Arena() {
   if (data_ == nullptr) return;
-  if (mapped_) {
-    ::munmap(data_, size_);
-  } else {
-    delete[] data_;
-  }
+  ::munmap(data_, size_);
   data_ = nullptr;
 }
 
 void Arena::sync() {
-  if (mapped_ && data_ != nullptr) ::msync(data_, size_, MS_SYNC);
+  if (file_backed_ && data_ != nullptr) ::msync(data_, size_, MS_SYNC);
 }
 
 void SnapshotCursor::reset(const std::uint8_t* base, std::size_t len) {

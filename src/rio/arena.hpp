@@ -51,7 +51,7 @@ class Arena {
  private:
   std::uint8_t* data_ = nullptr;
   std::size_t size_ = 0;
-  bool mapped_ = false;  // true => munmap, false => delete[]
+  bool file_backed_ = false;  // map_file(): sync() flushes it
 };
 
 // Incremental chunked iteration over a memory region — the building block
