@@ -67,7 +67,8 @@ void RedoApplier::note_gap() {
 void RedoApplier::note_applied(std::uint64_t batches, std::uint64_t epoch) {
   state_epoch_ = epoch;
   stats_.batches_applied += batches;
-  metrics::counter("repl.backup.batches_applied").add(batches);
+  static metrics::Counter& applied = metrics::counter("repl.backup.batches_applied");
+  applied.add(batches);
 }
 
 void RedoApplier::ack(ReplicationLink& link) {
@@ -96,17 +97,20 @@ RedoApplier::ReadResult RedoApplier::read_at_watermark(std::uint64_t off, std::u
     // Read-your-writes bounce: this replica has not yet applied the
     // client's own commit. at_seq tells the caller how far behind it is.
     result.status = ReadStatus::kLagging;
-    metrics::counter("repl.backup.reads_bounced").add(1);
+    static metrics::Counter& bounced = metrics::counter("repl.backup.reads_bounced");
+    bounced.add(1);
     return result;
   }
   if (!image_complete() || off > db_size_ || len > db_size_ - off) {
     result.status = ReadStatus::kOutOfBounds;
-    metrics::counter("repl.backup.reads_oob").add(1);
+    static metrics::Counter& oob = metrics::counter("repl.backup.reads_oob");
+    oob.add(1);
     return result;
   }
   if (len != 0) std::memcpy(out, target_.data() + off, len);
   result.status = ReadStatus::kOk;
-  metrics::counter("repl.backup.reads_served").add(1);
+  static metrics::Counter& served = metrics::counter("repl.backup.reads_served");
+  served.add(1);
   return result;
 }
 

@@ -77,7 +77,8 @@ void RedoPipeline::recompute_quorum_acked() {
   // acknowledged by at least `quorum_` peers. This full scan runs only when
   // an ack advances or the peer table / quorum changes; every other query
   // reads the cache (repl.primary.quorum_scans counts the scans).
-  metrics::counter("repl.primary.quorum_scans").add(1);
+  static metrics::Counter& scans = metrics::counter("repl.primary.quorum_scans");
+  scans.add(1);
   if (peers_.size() < quorum_) {
     quorum_acked_cache_ = 0;
     return;
@@ -282,13 +283,13 @@ void RedoPipeline::wait_covered(std::uint64_t target) {
   const auto t0 = std::chrono::steady_clock::now();
   await_coverage(target, Coverage::kQuorum);
   const std::optional<std::uint64_t> virt1 = virtual_wait();
-  metrics::counter("repl.primary.commit_wait_ns")
-      .add(virt1.has_value()
-               ? *virt1 - virt0.value_or(0)
-               : static_cast<std::uint64_t>(
-                     std::chrono::duration_cast<std::chrono::nanoseconds>(
-                         std::chrono::steady_clock::now() - t0)
-                         .count()));
+  static metrics::Counter& wait_ns = metrics::counter("repl.primary.commit_wait_ns");
+  wait_ns.add(virt1.has_value()
+                  ? *virt1 - virt0.value_or(0)
+                  : static_cast<std::uint64_t>(
+                        std::chrono::duration_cast<std::chrono::nanoseconds>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count()));
   // Coverage unreachable (peers dead/silent or we were fenced): resolve
   // every outstanding ticket now instead of leaving the window dangling.
   if (quorum_acked_cache_ < target) note_degraded();
@@ -435,14 +436,16 @@ void RedoPipeline::ship_group() {
   shipped_seq_ = pending_group_.back().seq;
   if (shipped) {
     stats_.txns_shipped += count;
-    metrics::counter("repl.primary.txns_shipped").add(count);
+    static metrics::Counter& txns = metrics::counter("repl.primary.txns_shipped");
+    txns.add(count);
   }
   drain_live();
-  metrics::timer("repl.primary.group_size").record(count);
+  static metrics::Timer& group_size = metrics::timer("repl.primary.group_size");
+  group_size.record(count);
   const std::uint64_t in_flight =
       shipped_seq_ - std::min(shipped_seq_, quorum_acked_cache_);
-  metrics::gauge("repl.primary.inflight_window")
-      .update_max(static_cast<std::int64_t>(in_flight));
+  static metrics::Gauge& inflight = metrics::gauge("repl.primary.inflight_window");
+  inflight.update_max(static_cast<std::int64_t>(in_flight));
   pending_group_.clear();
 }
 
