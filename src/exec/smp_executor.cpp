@@ -49,7 +49,7 @@ void SmpExecutor::StagingQueue::publish(std::uint64_t ticket, TxnRecord* record)
     can_publish_.wait(lock, [&] { return ticket < head_ + slots_.size(); });
   }
   slots_[ticket % slots_.size()] = record;
-  // Only ticket head_ can unblock the sequencer; it skips every other slot.
+  // Only ticket head_ can unblock the sequencer, which waits on that slot.
   if (ticket == head_) can_take_.notify_one();
 }
 

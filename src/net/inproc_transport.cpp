@@ -65,8 +65,8 @@ bool InprocTransport::send(MsgType type, std::uint64_t epoch, const void* payloa
 
 void InprocTransport::Stream::append(const std::uint8_t* p, std::size_t len) {
   // Drop the consumed prefix before the buffer would grow to keep it: the
-  // move touches only unread bytes, and the buffer stays as small as the
-  // backlog, as it was when every recv erased its frame.
+  // move touches only unread bytes, and the buffer never outgrows the
+  // backlog.
   if (head != 0 && bytes.size() + len > bytes.capacity()) drop_consumed();
   bytes.insert(bytes.end(), p, p + len);
 }
