@@ -69,7 +69,8 @@ struct Shard {
     primary->set_two_safe(true);
     primary->set_commit_window(32);
     backup = std::make_unique<net::WireBackup>(replica);
-    backup_thread = std::thread([this] { backup->serve(backup_end, 10'000); });
+    backup_thread = std::thread(
+        [this] { backup->serve(backup_end, net::WireBackup::ServeOptions{10'000, nullptr}); });
     VREP_CHECK(primary->sync_backup());
   }
 

@@ -4,7 +4,7 @@
 // executes pre-drawn transaction plans through the thread-safe
 // ShardedCluster::execute() path, so local transactions from different
 // threads latch disjoint shards while cross-shard ones pay the 2PC
-// prepare/decide round through shard::CrossShardCoordinator.
+// prepare/decide round through ShardedCluster's single-remote commit.
 //
 // Wall-clock numbers are machine-dependent: the emitted JSON marks the root
 // with "wallclock": true and check_drift.py compares only the deterministic

@@ -7,8 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <vector>
 
 #include "util/check.hpp"
 
@@ -52,47 +50,6 @@ class HeartbeatDetector {
   int threshold_;
   std::int64_t last_heartbeat_ms_ = 0;
   bool seen_any_ = false;
-};
-
-// Per-peer heartbeat bookkeeping for a node watching several peers at once
-// (a primary shipping redo to N backups, pruning the dead ones from the
-// view). One HeartbeatDetector per peer, all sharing a timeout/threshold;
-// peers are tracked from their first heartbeat.
-class PeerDetectorSet {
- public:
-  explicit PeerDetectorSet(std::int64_t timeout_ms, int suspicion_threshold = 1)
-      : timeout_ms_(timeout_ms), threshold_(suspicion_threshold) {
-    VREP_CHECK(timeout_ms > 0);
-    VREP_CHECK(suspicion_threshold > 0);
-  }
-
-  void heartbeat(int node, std::int64_t now_ms) {
-    peers_.try_emplace(node, timeout_ms_, threshold_).first->second.heartbeat(now_ms);
-  }
-
-  // A never-heard-from peer is not suspected (same no-contact rule as the
-  // single-peer detector).
-  bool suspects(int node, std::int64_t now_ms) const {
-    const auto it = peers_.find(node);
-    return it != peers_.end() && it->second.suspects(now_ms);
-  }
-
-  // Every tracked peer currently past the suspicion threshold, in node order.
-  std::vector<int> suspected(std::int64_t now_ms) const {
-    std::vector<int> out;
-    for (const auto& [node, detector] : peers_) {
-      if (detector.suspects(now_ms)) out.push_back(node);
-    }
-    return out;
-  }
-
-  void forget(int node) { peers_.erase(node); }
-  std::size_t tracked() const { return peers_.size(); }
-
- private:
-  std::int64_t timeout_ms_;
-  int threshold_;
-  std::map<int, HeartbeatDetector> peers_;
 };
 
 }  // namespace vrep::cluster

@@ -48,10 +48,6 @@ class InlineLogStore final : public StoreBase {
 
   static std::size_t arena_bytes(const StoreConfig& config);
 
-  // Exposed for the active replicator, which reuses V3 locally and ships a
-  // redo log instead of this undo log.
-  std::size_t ranges_in_txn() const { return txn_records_.size(); }
-
   // Seed the persistent sequence counter of a freshly formatted store so a
   // promoted backup continues the replicated numbering (rejoin deltas and
   // any workload state derived from committed_seq depend on it). Only valid

@@ -149,10 +149,7 @@ void SmpExecutor::worker_main(unsigned index) {
   Rng rng(config_.seed * 0x9e3779b97f4a7c15ull + index + 1);
   const std::size_t nparts = partitions_.size();
   for (std::uint64_t i = 0; i < config_.txns_per_worker; ++i) {
-    const std::uint32_t draw = rng.next_u32();  // same stream with or without route
-    const std::size_t pi = config_.route ? config_.route(draw, nparts) % nparts
-                                         : draw % nparts;
-    Partition& part = *partitions_[pi];
+    Partition& part = *partitions_[rng.next_u32() % nparts];
     TxnRecord* rec = acquire_record();
     rec->clear();
     std::uint64_t ticket = 0;

@@ -53,7 +53,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -91,13 +90,6 @@ struct SmpConfig {
   // ticket is this far ahead of the sequencer waits to publish.
   std::size_t queue_capacity = 256;
   std::uint64_t seed = 1;
-  // Partition routing hook: maps the worker's per-txn draw to a partition
-  // index (result is taken mod `partitions`). Null keeps the historical
-  // `draw % partitions` placement byte-for-byte — the draw itself is the
-  // same single RNG pull either way, so plugging in a router (e.g. one that
-  // follows a shard::ShardMap the way a rebalance would re-home clients)
-  // perturbs placement only, never the workload streams.
-  std::function<std::size_t(std::uint32_t draw, std::size_t partitions)> route;
 };
 
 class SmpExecutor final : private repl::RedoPipeline::Source {

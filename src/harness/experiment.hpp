@@ -48,8 +48,6 @@ struct ExperimentResult {
   double flow_stall_seconds = 0;   // active: CPU blocked on a full redo ring
   // Per-transaction virtual-time commit latency (ns), across all streams.
   Histogram commit_latency_ns{};
-
-  double traffic_mb() const { return static_cast<double>(traffic.total()) / 1e6; }
 };
 
 ExperimentResult run_experiment(const ExperimentConfig& config);

@@ -119,9 +119,8 @@ class AsyncServer {
   AsyncServer& operator=(const AsyncServer&) = delete;
 
   // Shard id is the index of the add_shard call; the router must return
-  // ids < shard_count(). Configure before start().
+  // ids < the number of add_shard calls. Configure before start().
   void add_shard(ShardEndpoint endpoint) { shards_.push_back(std::move(endpoint)); }
-  std::size_t shard_count() const { return shards_.size(); }
   void set_router(std::function<std::uint32_t(std::uint64_t key)> router) {
     router_ = std::move(router);
   }

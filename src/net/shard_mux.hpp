@@ -83,7 +83,6 @@ class ShardChannel {
     return *it->second;
   }
 
-  std::size_t lanes_open() const { return lanes_.size(); }
   // Frames received for shards nobody opened a lane for (a routing bug or a
   // stale sender); they are counted and dropped rather than crashing the
   // receive loop.

@@ -104,12 +104,6 @@ class WireBackup : private repl::RedoApplier::Target {
   // Receive and apply until the primary fails, the connection drops, or the
   // stream is irrecoverably violated.
   ServeResult serve(Transport& transport, const ServeOptions& options);
-  // Legacy spelling: idle timeout only, no detector.
-  ServeResult serve(Transport& transport, int timeout_ms) {
-    ServeOptions options;
-    options.idle_timeout_ms = timeout_ms;
-    return serve(transport, options);
-  }
 
   // Announce our applied sequence after a (re)connect; the primary answers
   // with a delta replay or a full image sync. A fresh backup (nothing

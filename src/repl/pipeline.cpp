@@ -715,7 +715,6 @@ std::optional<bool> RedoPipeline::serve_rejoin(PeerSlot& peer, const Frame& fram
   if (membership_ != nullptr && membership_->is_primary() && !membership_->has_backup(node_id)) {
     membership_->adopt_backup(node_id);
   }
-  stats_.rejoins_served++;
   metrics::counter("repl.primary.rejoins_served").add(1);
   const RejoinDecision decision = decide_rejoin(backup_seq, request.state_epoch);
   if (decision == RejoinDecision::kFullImage) {

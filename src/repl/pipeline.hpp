@@ -64,7 +64,6 @@ class RedoPipeline {
 
   struct Stats {
     std::uint64_t txns_shipped = 0;
-    std::uint64_t rejoins_served = 0;
     std::uint64_t deltas_served = 0;      // incremental catch-up from history
     std::uint64_t full_syncs_served = 0;  // no delta nor checkpoint could repair
     std::uint64_t two_safe_degraded = 0;  // 2-safe commits that fell back to 1-safe
@@ -184,7 +183,7 @@ class RedoPipeline {
   CommitOutcome last_commit_outcome() const { return last_commit_outcome_; }
 
   // ---- cross-shard 2PC hooks ---------------------------------------------
-  // Phase 1 of cross-shard two-phase commit (shard::CrossShardCoordinator).
+  // Phase 1 of cross-shard two-phase commit (shard::ShardedCluster).
   // Encodes the staged chunks as sequence `seq` and ships them with the xid
   // to every live peer as one kXPrepare frame; backups buffer the batch
   // in-doubt — the sequence is consumed (applied_seq advances, acks cover

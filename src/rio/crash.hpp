@@ -25,7 +25,6 @@ class CrashInjector final : public sim::WriteHook {
     target_ = seen_ + nth;
     armed_ = true;
   }
-  void disarm() { armed_ = false; }
   std::uint64_t writes_seen() const { return seen_; }
 
   void on_write() override {

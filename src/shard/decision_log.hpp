@@ -12,6 +12,9 @@
 //
 //   [u64 xid | u64 flags]      flags bit 0: committed
 //
+// xids encode their home shard (top 16 bits; make_xid / xid_home), so
+// in-doubt resolution can find the decision log with no side channel.
+//
 // Resolution rule (what a promoted backup applies to its buffered in-doubt
 // transactions): a transaction is COMMITTED iff its home shard's slot holds
 // its xid with the commit bit; anything else — zeroed slot, different xid —
@@ -32,9 +35,17 @@
 #include <cstdint>
 #include <cstring>
 
+#include "shard/shard_map.hpp"
 #include "util/check.hpp"
 
 namespace vrep::shard {
+
+// A globally unique, home-shard-tagged transaction id: `counter` must be
+// unique per cluster and below 2^48.
+inline std::uint64_t make_xid(ShardId home, std::uint64_t counter) {
+  return (static_cast<std::uint64_t>(home) << 48) | counter;
+}
+inline ShardId xid_home(std::uint64_t xid) { return static_cast<ShardId>(xid >> 48); }
 
 class DecisionLog {
  public:

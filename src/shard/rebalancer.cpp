@@ -138,13 +138,11 @@ bool Rebalancer::step() {
   // Ship the chunk as one cross-shard 2PC transaction homed on the SOURCE:
   // its decision record rides the source's redo stream, so a mid-chunk
   // death resolves through the same in-doubt machinery as any cross-shard
-  // txn. The write generators run under the coordinator's latches; the
+  // txn. The write generators run under both shard latches; the
   // bookkeeping flips inside the home generator, atomically with the
   // commit — an aborted chunk leaves every flag untouched and is retried.
-  const std::uint64_t xid = cluster_.coordinator_->next_xid(src);
-
-  CrossShardCoordinator::WriteGen remote_writes = [this, m, &chunk, src, dst] {
-    std::vector<CrossShardCoordinator::Write> w;
+  const ShardedCluster::WriteGen remote_writes = [this, m, &chunk, src, dst] {
+    std::vector<ShardedCluster::Write> w;
     for (const std::size_t i : chunk) {
       const std::uint64_t off = m->moves[i].off;
       const std::int32_t v = read_balance(cluster_.shard_db_ptr(src), off);
@@ -157,8 +155,8 @@ bool Rebalancer::step() {
     }
     return w;
   };
-  CrossShardCoordinator::WriteGen home_writes = [this, m, &chunk, src] {
-    std::vector<CrossShardCoordinator::Write> w;
+  const ShardedCluster::WriteGen home_writes = [this, m, &chunk, src] {
+    std::vector<ShardedCluster::Write> w;
     std::uint64_t moved = 0;
     for (const std::size_t i : chunk) {
       const std::uint64_t off = m->moves[i].off;
@@ -176,15 +174,9 @@ bool Rebalancer::step() {
     return w;
   };
 
-  std::vector<CrossShardCoordinator::RemoteOp> remotes;
-  remotes.push_back({cluster_.shard_participant(dst), std::move(remote_writes)});
-  const CrossShardCoordinator::Outcome out = cluster_.coordinator_->commit(
-      cluster_.shard_participant(src), std::move(remotes), home_writes, xid);
-  for (const ShardId id : out.decided) {
-    (void)id;
-    cluster_.record_resolution(xid, out.committed);
-  }
-  VREP_CHECK(out.committed);  // no chaos hook: a live chunk always commits
+  const std::uint64_t home_seq = cluster_.commit_cross(src, dst, home_writes, remote_writes,
+                                                       ShardedCluster::InCommitKill{});
+  VREP_CHECK(home_seq != 0);  // no chaos kill: a live chunk always commits
   cluster_.rb_chunks_.fetch_add(1, std::memory_order_relaxed);
   metrics::counter("shard.rebalance.chunks").add(1);
   return true;

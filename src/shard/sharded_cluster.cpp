@@ -24,6 +24,17 @@ namespace {
 // add_shard appends (the published count is live_shards_).
 constexpr unsigned kMaxShardGrowth = 8;
 
+// Per-shard database region: workload records below, the decision ring
+// (kDecisionSlots 16-byte slots) at the tail.
+constexpr std::size_t kShardDbSize = 256u << 10;
+constexpr std::size_t kDecisionSlots = 64;
+constexpr std::size_t kWorkloadBytes = kShardDbSize - kDecisionSlots * DecisionLog::kSlotBytes;
+static_assert(kDecisionSlots >= 2 && kWorkloadBytes > 0 && kWorkloadBytes < kShardDbSize);
+// Every shard acks 2-safe commits from one backup and keeps 1 MiB of redo
+// history for rejoin deltas.
+constexpr unsigned kQuorum = 1;
+constexpr std::size_t kRedoHistoryBytes = 1u << 20;
+
 // Replica bytes land in a plain buffer.
 struct BufferTarget final : repl::RedoApplier::Target {
   explicit BufferTarget(std::size_t size) : bytes(size, 0) {}
@@ -141,15 +152,11 @@ void ShardedCluster::note_write(ShardId shard, std::uint64_t off) {
 
 ShardedCluster::ShardedCluster(const ShardedConfig& config)
     : config_(config),
-      workload_bytes_(config.shard_db_size - config.decision_slots * DecisionLog::kSlotBytes),
+      workload_bytes_(kWorkloadBytes),
       map_(ShardMap::uniform(config.shards)),
-      workload_(workload_bytes_) {
+      workload_(workload_bytes_),
+      dlog_(kWorkloadBytes, kDecisionSlots) {
   VREP_CHECK(config_.shards >= 1);
-  VREP_CHECK(config_.decision_slots >= 2);
-  VREP_CHECK(workload_bytes_ > 0 && workload_bytes_ < config_.shard_db_size);
-  coordinator_ = std::make_unique<CrossShardCoordinator>(
-      DecisionLog(workload_bytes_, config_.decision_slots));
-
   shards_.reserve(config_.shards + kMaxShardGrowth);
   for (unsigned i = 0; i < config_.shards; ++i) {
     shards_.push_back(build_shard(i));
@@ -162,20 +169,20 @@ ShardedCluster::~ShardedCluster() = default;
 std::unique_ptr<ShardedCluster::Shard> ShardedCluster::build_shard(ShardId id) {
   auto shard = std::make_unique<Shard>();
   shard->id = id;
-  shard->db.assign(config_.shard_db_size, 0);
+  shard->db.assign(kShardDbSize, 0);
   shard->source.owner = shard.get();
   shard->membership = std::make_unique<cluster::Membership>(0, cluster::Role::kPrimary);
   shard->pipeline = std::make_unique<repl::RedoPipeline>(
       shard->source, nullptr, shard->membership.get(), repl::RedoPipeline::Lineage{0, 0},
-      config_.redo_history_bytes);
+      kRedoHistoryBytes);
   for (unsigned b = 0; b < config_.backups_per_shard; ++b) {
     shard->backups.push_back(
-        std::make_unique<Shard::Backup>(static_cast<int>(b) + 1, config_.shard_db_size));
+        std::make_unique<Shard::Backup>(static_cast<int>(b) + 1, kShardDbSize));
     attach_backup(*shard, b);
   }
   shard->next_node = static_cast<int>(config_.backups_per_shard) + 1;
   shard->pipeline->set_two_safe(config_.two_safe && !shard->backups.empty());
-  shard->pipeline->set_quorum(config_.quorum);
+  shard->pipeline->set_quorum(kQuorum);
   if (!shard->backups.empty()) {
     VREP_CHECK(shard->pipeline->sync_backup());  // seed the replicas
   }
@@ -193,22 +200,9 @@ ShardId ShardedCluster::add_shard() {
   return id;
 }
 
-CrossShardCoordinator::Participant ShardedCluster::participant(Shard& shard) {
-  CrossShardCoordinator::Participant p;
-  p.id = shard.id;
-  p.latch = &shard.latch;
-  p.pipeline = shard.pipeline.get();
-  p.db = shard.db.data();
-  p.committed = &shard.committed;
-  return p;
-}
-
 core::Latch& ShardedCluster::shard_latch(ShardId id) { return shards_.at(id)->latch; }
 const std::uint8_t* ShardedCluster::shard_db_ptr(ShardId id) const {
   return shards_.at(id)->db.data();
-}
-CrossShardCoordinator::Participant ShardedCluster::shard_participant(ShardId id) {
-  return participant(*shards_.at(id));
 }
 
 std::uint64_t ShardedCluster::run_local(Shard& shard, const wl::DebitCredit::TxnPlan& plan) {
@@ -239,13 +233,12 @@ std::uint64_t ShardedCluster::run_local(Shard& shard, const wl::DebitCredit::Txn
   return seq;
 }
 
-ShardedCluster::TxnOutcome ShardedCluster::run_one(
-    const TxnDecision& d, const CrossShardCoordinator::ChaosHook& chaos) {
+ShardedCluster::TxnOutcome ShardedCluster::run_one(const TxnDecision& d,
+                                                    const InCommitKill& kill) {
   TxnOutcome out;
   out.cross = d.cross;
   out.home = d.home;
   out.remote = d.remote;
-  out.map_version = d.map_version;
   Shard& home = *shards_[d.home];
 
   if (!d.cross) {
@@ -255,23 +248,20 @@ ShardedCluster::TxnOutcome ShardedCluster::run_one(
   }
 
   Shard& remote = *shards_[d.remote];
-  const std::uint64_t xid = coordinator_->next_xid(d.home);
-  out.xid = xid;
-
   // The account rides the remote shard; teller, branch and the audit record
   // stay home.
   const wl::DebitCredit::TxnPlan plan = d.plan;
   const ShardId remote_id = d.remote;
   const ShardId home_id = d.home;
-  CrossShardCoordinator::WriteGen remote_writes = [this, &remote, remote_id, plan] {
-    std::vector<CrossShardCoordinator::Write> w;
+  const WriteGen remote_writes = [this, &remote, remote_id, plan] {
+    std::vector<Write> w;
     const std::uint64_t off = workload_.account_offset(plan.account);
     w.push_back({off, bumped_balance(remote.db.data(), off, plan.amount)});
     note_write(remote_id, off);
     return w;
   };
-  CrossShardCoordinator::WriteGen home_writes = [this, &home, home_id, plan] {
-    std::vector<CrossShardCoordinator::Write> w;
+  const WriteGen home_writes = [this, &home, home_id, plan] {
+    std::vector<Write> w;
     for (const std::uint64_t off : {workload_.teller_offset(plan.teller),
                                     workload_.branch_offset(plan.branch)}) {
       w.push_back({off, bumped_balance(home.db.data(), off, plan.amount)});
@@ -285,21 +275,88 @@ ShardedCluster::TxnOutcome ShardedCluster::run_one(
     return w;
   };
 
-  std::vector<CrossShardCoordinator::RemoteOp> remotes;
-  remotes.push_back({participant(remote), std::move(remote_writes)});
-  const CrossShardCoordinator::Outcome result =
-      coordinator_->commit(participant(home), std::move(remotes), home_writes, xid, chaos);
-
-  out.committed = result.committed;
-  out.prepared = result.prepared;
-  out.home_seq = result.home_seq;
-  out.remote_seq = result.remote_seqs.empty() ? 0 : result.remote_seqs.front();
-  // Every in-band resolution the coordinator performed feeds the audit.
-  for (const ShardId id : result.decided) {
-    (void)id;
-    record_resolution(xid, result.committed);
-  }
+  out.home_seq = commit_cross(home_id, remote_id, home_writes, remote_writes, kill);
+  out.committed = out.home_seq != 0;
   return out;
+}
+
+std::uint64_t ShardedCluster::commit_cross(ShardId home_id, ShardId remote_id,
+                                           const WriteGen& home_writes,
+                                           const WriteGen& remote_writes,
+                                           const InCommitKill& kill) {
+  VREP_CHECK(home_id != remote_id);
+  // Indexed, not at(): execute() threads index shards_ while add_shard
+  // appends, and at() would read the size push_back writes.
+  Shard& home = *shards_[home_id];
+  Shard& remote = *shards_[remote_id];
+  const std::uint64_t xid =
+      make_xid(home_id, xid_counter_.fetch_add(1, std::memory_order_relaxed) + 1);
+  core::LatchGuard first(home_id < remote_id ? home.latch : remote.latch);
+  core::LatchGuard second(home_id < remote_id ? remote.latch : home.latch);
+  // The chaos kill: snap the victim's links under the latches (run()
+  // promotes it after we return) and report whether it fired here.
+  const auto kill_fires = [&](ChaosSchedule::Point at) {
+    if (kill.at != at) return false;
+    Shard& victim = *shards_[kill.victim];
+    for (auto& b : victim.backups) b->link->kill();
+    victim.primary_alive = false;
+    return true;
+  };
+
+  // Phase 1: stage the remote's writes as an in-doubt prepare. The remote
+  // image is untouched until the decision (deferred apply).
+  const std::vector<Write> deferred = remote_writes();  // under the latches
+  remote.pipeline->begin();
+  for (const Write& w : deferred) remote.pipeline->stage(w.off, w.bytes.data(), w.bytes.size());
+  remote.committed += 1;  // the sequence is consumed at prepare
+  remote.pipeline->prepare_cross(remote.committed, xid);
+  metrics::counter("shard.coord.prepares").add(1);
+
+  if (kill_fires(ChaosSchedule::Point::kAfterPrepare)) {
+    // A primary died before the commit point: presumed abort, whichever
+    // shard it was. No decision record will ever exist, so a live remote is
+    // resolved here and a dead one resolves identically at takeover.
+    if (kill.victim != remote_id) {
+      remote.pipeline->decide_cross(xid, false);
+      record_resolution(xid, false);
+    }
+    metrics::counter("shard.coord.aborts").add(1);
+    return 0;
+  }
+
+  // Commit point: one ordinary home-shard commit carries the workload
+  // writes and the decision record. 2-safe, this returns quorum-covered —
+  // the decision survives any single failure before phase 2 runs.
+  repl::RedoPipeline& hp = *home.pipeline;
+  hp.begin();
+  for (const Write& w : home_writes()) {
+    hp.stage(w.off, w.bytes.data(), w.bytes.size());
+    std::memcpy(home.db.data() + w.off, w.bytes.data(), w.bytes.size());
+  }
+  std::uint8_t slot[DecisionLog::kSlotBytes];
+  DecisionLog::encode_commit(slot, xid);
+  const std::uint64_t slot_off = dlog_.slot_off(xid);
+  hp.stage(slot_off, slot, sizeof slot);
+  std::memcpy(home.db.data() + slot_off, slot, sizeof slot);
+  home.committed += 1;
+  const std::uint64_t home_seq = home.committed;
+  hp.commit(home_seq);
+
+  // A dead home needs nothing more: the decision is already durable on its
+  // backups. Phase 2 applies the deferred bytes and resolves the remote's
+  // prepare; a dead remote resolves at takeover against the decision
+  // record instead.
+  const bool remote_died =
+      kill_fires(ChaosSchedule::Point::kAfterHomeCommit) && kill.victim == remote_id;
+  if (!remote_died) {
+    for (const Write& w : deferred) {
+      std::memcpy(remote.db.data() + w.off, w.bytes.data(), w.bytes.size());
+    }
+    remote.pipeline->decide_cross(xid, true);
+    record_resolution(xid, true);
+  }
+  metrics::counter("shard.coord.commits").add(1);
+  return home_seq;
 }
 
 ShardedCluster::RunResult ShardedCluster::run(std::uint64_t seed, std::uint64_t txns,
@@ -383,37 +440,19 @@ ShardedCluster::RunResult ShardedCluster::run(std::uint64_t seed, std::uint64_t 
       kill_pending = false;
     }
 
-    CrossShardCoordinator::ChaosHook hook;
-    ShardId killed = CrossShardCoordinator::kNoKill;
+    InCommitKill kill;
     if (kill_pending && d.cross && i >= chaos.kill_after_txn &&
         chaos.point != ChaosSchedule::Point::kBetweenTxns) {
-      const ShardId victim = chaos.target == ChaosSchedule::Target::kHomeShard ? d.home
-                             : chaos.target == ChaosSchedule::Target::kRemoteShard
-                                 ? d.remote
-                                 : chaos.shard;
-      const CrossShardCoordinator::Phase fire_at =
-          chaos.point == ChaosSchedule::Point::kAfterPrepare
-              ? CrossShardCoordinator::Phase::kAfterPrepare
-              : CrossShardCoordinator::Phase::kAfterHomeCommit;
-      hook = [this, victim, fire_at, &killed](CrossShardCoordinator::Phase phase,
-                                              std::uint64_t) {
-        if (phase != fire_at || killed != CrossShardCoordinator::kNoKill) {
-          return killed;
-        }
-        // Snap the victim's links under the coordinator's latches; the
-        // promotion runs after the coordinator returns.
-        Shard& s = *shards_[victim];
-        for (auto& b : s.backups) b->link->kill();
-        s.primary_alive = false;
-        killed = victim;
-        return killed;
-      };
+      kill.at = chaos.point;
+      kill.victim = chaos.target == ChaosSchedule::Target::kHomeShard     ? d.home
+                    : chaos.target == ChaosSchedule::Target::kRemoteShard ? d.remote
+                                                                          : chaos.shard;
       kill_pending = false;
     }
 
-    const TxnOutcome out = run_one(d, hook);
-    if (killed != CrossShardCoordinator::kNoKill) {
-      promote(*shards_[killed]);
+    const TxnOutcome out = run_one(d, kill);
+    if (kill.at != ChaosSchedule::Point::kBetweenTxns) {
+      promote(*shards_[kill.victim]);
     }
     if (out.committed) {
       res.committed += 1;
@@ -437,7 +476,7 @@ ShardedCluster::RunResult ShardedCluster::run(std::uint64_t seed, std::uint64_t 
 TxnDecision ShardedCluster::reroute_stale(const TxnDecision& decision) {
   TxnDecision d = decision;
   std::lock_guard<std::mutex> lock(map_mu_);
-  if (d.map_version == 0 || d.map_version == map_.version()) return d;
+  if (d.map_version == map_.version()) return d;
   // The decision was planned against a superseded layout: abort it there
   // and retry against the live map in one step. The home re-routes by key;
   // a cross plan whose remote pick collided with the new home keeps the two
@@ -454,7 +493,7 @@ TxnDecision ShardedCluster::reroute_stale(const TxnDecision& decision) {
 }
 
 bool ShardedCluster::execute(const TxnDecision& decision) {
-  return run_one(reroute_stale(decision), CrossShardCoordinator::ChaosHook{}).committed;
+  return run_one(reroute_stale(decision), InCommitKill{}).committed;
 }
 
 // ---------------------------------------------------------------------------
@@ -471,7 +510,7 @@ void ShardedCluster::kill_primary(ShardId id) {
 }
 
 bool ShardedCluster::decide_in_doubt(std::uint64_t xid) const {
-  const ShardId home = CrossShardCoordinator::home_of(xid);
+  const ShardId home = xid_home(xid);
   const Shard& h = *shards_.at(home);
   // The decision record lives in the home shard's surviving image: the
   // primary's if it is alive, else any backup's — a 2-safe home commit made
@@ -479,7 +518,7 @@ bool ShardedCluster::decide_in_doubt(std::uint64_t xid) const {
   // surviving copy agrees.
   const std::uint8_t* home_db =
       h.primary_alive ? h.db.data() : h.backups.front()->target.bytes.data();
-  return coordinator_->decision_log().committed(home_db, xid);
+  return dlog_.committed(home_db, xid);
 }
 
 void ShardedCluster::record_resolution(std::uint64_t xid, bool commit) {
@@ -527,7 +566,7 @@ void ShardedCluster::rejoin_backups(Shard& s) {
     VREP_CHECK(s.pipeline->handle_rejoin(peer, /*timeout_ms=*/10));
   }
   s.pipeline->set_two_safe(config_.two_safe && !s.backups.empty());
-  s.pipeline->set_quorum(config_.quorum);
+  s.pipeline->set_quorum(kQuorum);
 }
 
 void ShardedCluster::promote_backup0(Shard& s) {
@@ -543,7 +582,7 @@ void ShardedCluster::promote_backup0(Shard& s) {
   s.membership = std::move(winner->membership);
   s.pipeline = std::make_unique<repl::RedoPipeline>(
       s.source, nullptr, s.membership.get(),
-      repl::RedoPipeline::Lineage{prev_epoch, s.committed}, config_.redo_history_bytes);
+      repl::RedoPipeline::Lineage{prev_epoch, s.committed}, kRedoHistoryBytes);
   s.primary_alive = true;
 
   // Re-adopt the remaining backups through the ordinary rejoin protocol.
@@ -578,7 +617,7 @@ void ShardedCluster::handoff_primary(ShardId id) {
   // same bytes, same sequence, same lineage epoch — BEFORE the promotion
   // replaces s.db. Its node id is the old primary's, never reused.
   const std::uint64_t old_epoch = s.membership->view().epoch;
-  auto demoted = std::make_unique<Shard::Backup>(s.membership->self(), config_.shard_db_size);
+  auto demoted = std::make_unique<Shard::Backup>(s.membership->self(), kShardDbSize);
   demoted->applier.seed(s.db.data(), s.db.size(), s.committed, old_epoch);
 
   // Promote backup 0 exactly like a takeover, minus the takeover: no txn is
@@ -598,7 +637,7 @@ void ShardedCluster::add_backup(ShardId id) {
   Shard& s = *shards_.at(id);
   core::LatchGuard guard(s.latch);
   VREP_CHECK(s.primary_alive);
-  s.backups.push_back(std::make_unique<Shard::Backup>(s.next_node++, config_.shard_db_size));
+  s.backups.push_back(std::make_unique<Shard::Backup>(s.next_node++, kShardDbSize));
   attach_backup(s, s.backups.size() - 1);
   // Adopting the newcomer bumped the epoch, and a backup only learns a
   // newer epoch from a sync-start frame — so EVERY backup rejoins at the

@@ -3,8 +3,8 @@
 // repl::RedoPipeline with a private backup set, and its own
 // cluster::Membership epoch — a takeover on one shard fences nothing on
 // another. Cross-shard Debit-Credit transactions (the remote-branch mix)
-// commit through shard::CrossShardCoordinator's 2PC over the per-shard
-// pipelines.
+// commit through a presumed-abort 2PC over the per-shard pipelines
+// (commit_cross below has the protocol).
 //
 // Replication runs over repl::InlineLink (repl/inline_link.hpp), the
 // deterministic inline carrier: send() hands the frame straight to the
@@ -17,12 +17,12 @@
 // Per-shard database layout:
 //
 //   [ Debit-Credit records + audit ring  |  decision ring (16 B slots) ]
-//    `workload_bytes()` bytes               decision_slots * 16 bytes
+//    `workload_bytes()` bytes               64 slots * 16 bytes
 //
 // The decision ring belongs to the HOME shard of a cross-shard transaction
-// and is written by the coordinator as part of the home commit, so the
-// decision replicates exactly like any other byte (shard/decision_log.hpp
-// has the resolution rule).
+// and is written as part of the home commit, so the decision replicates
+// exactly like any other byte (shard/decision_log.hpp has the resolution
+// rule).
 //
 // Chaos: kill_primary() drops a shard's primary mid-load; promote() elects
 // backup 0, resolves every buffered in-doubt transaction against the home
@@ -55,6 +55,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -63,7 +64,7 @@
 #include <vector>
 
 #include "core/latch.hpp"
-#include "shard/coordinator.hpp"
+#include "shard/decision_log.hpp"
 #include "shard/shard_map.hpp"
 #include "util/rng.hpp"
 #include "workload/debit_credit.hpp"
@@ -75,20 +76,14 @@ class Rebalancer;
 struct ShardedConfig {
   unsigned shards = 3;
   unsigned backups_per_shard = 1;
-  // Per-shard database region: workload records below, decision ring tail.
-  std::size_t shard_db_size = 256u << 10;
-  std::size_t decision_slots = 64;
   bool two_safe = true;
-  unsigned quorum = 1;
-  std::size_t redo_history_bytes = 1u << 20;
 };
 
 // One transaction's routing decision + randomized picks. `plan` indexes are
 // shard-local: the account lives on `remote` when `cross`, everything else
 // on `home`. `key` is the routed client key and `map_version` the map it
 // routed under, so a reconfiguration can detect (and re-route) a decision
-// planned against a superseded layout; map_version 0 marks a legacy
-// unstamped decision that is executed as planned.
+// planned against a superseded layout.
 struct TxnDecision {
   bool cross = false;
   ShardId home = 0;
@@ -160,13 +155,9 @@ class ShardedCluster {
   struct TxnOutcome {
     bool cross = false;
     bool committed = false;
-    bool prepared = false;  // phase 1 ran (an aborted prepare still burns a seq)
     ShardId home = 0;
     ShardId remote = 0;
-    std::uint64_t xid = 0;
     std::uint64_t home_seq = 0;
-    std::uint64_t remote_seq = 0;
-    std::uint64_t map_version = 0;  // map the txn actually executed under
   };
   struct RunResult {
     std::uint64_t committed = 0;
@@ -203,7 +194,6 @@ class ShardedCluster {
   const wl::DebitCredit& workload() const { return workload_; }
   // Bytes below the decision ring (the oracle-comparable region).
   std::size_t workload_bytes() const { return workload_bytes_; }
-  std::size_t shard_db_size() const { return config_.shard_db_size; }
 
   // The key under which record (kind, i) is deemed owned by a shard:
   // kind 0 = account, 1 = teller, 2 = branch. Shared verbatim with the
@@ -267,13 +257,11 @@ class ShardedCluster {
   void kill_primary(ShardId id);
 
   std::uint64_t takeovers() const { return takeovers_; }
-  // Every in-doubt resolution performed anywhere (coordinator decides and
+  // Every in-doubt resolution performed anywhere (in-band decides and
   // takeover resolutions), xid -> committed. A transaction resolved both
   // ways would bump resolution_conflicts() — the invariant is 0.
   const std::map<std::uint64_t, bool>& resolutions() const { return resolutions_; }
   std::uint64_t resolution_conflicts() const { return resolution_conflicts_; }
-
-  CrossShardCoordinator& coordinator() { return *coordinator_; }
 
  private:
   friend class Rebalancer;
@@ -302,18 +290,60 @@ class ShardedCluster {
     return (static_cast<std::uint64_t>(shard) << 48) | off;
   }
 
+  // A primary death fired inside one cross-shard commit (chaos runs only):
+  // `victim`'s links are snapped at point `at`, and run() promotes it once
+  // the commit returns. kBetweenTxns, the default, kills nothing.
+  struct InCommitKill {
+    ChaosSchedule::Point at = ChaosSchedule::Point::kBetweenTxns;
+    ShardId victim = 0;
+  };
+
   std::unique_ptr<Shard> build_shard(ShardId id);
-  TxnOutcome run_one(const TxnDecision& decision, const CrossShardCoordinator::ChaosHook& chaos);
+  TxnOutcome run_one(const TxnDecision& decision, const InCommitKill& kill);
   // Returns the commit sequence, read under the shard latch — callers must
   // not touch shard.committed once the latch is released.
   std::uint64_t run_local(Shard& shard, const wl::DebitCredit::TxnPlan& plan);
-  CrossShardCoordinator::Participant participant(Shard& shard);
+
+  // Two-phase commit of one transaction that touches a HOME shard and one
+  // REMOTE shard, over their redo pipelines:
+  //
+  //   latch both shards, lower shard id first       (deadlock avoidance)
+  //   phase 1  stage the remote's writes; prepare_cross(seq, xid)
+  //              -> backups buffer the batch in-doubt; the remote primary's
+  //                 image is untouched (deferred apply)
+  //   commit   home shard: ONE ordinary commit carrying the home writes AND
+  //            the 16-byte decision record (shard/decision_log.hpp). The
+  //            moment this commit is durable — 2-safe: quorum-covered on the
+  //            home backups — the transaction is committed, whoever dies next.
+  //   phase 2  apply the deferred bytes to the remote image; decide_cross
+  //              -> backups resolve their in-doubt buffer
+  //
+  // Failure rule (presumed abort): if a primary dies before the home commit,
+  // the transaction aborts — no decision record exists, so every surviving
+  // or promoted replica independently resolves the prepare as abort. If the
+  // remote primary dies after the home commit, the transaction IS
+  // committed; the remote's promoted backup finds the decision record in the
+  // home shard's surviving image and resolves commit. Both rules read the
+  // same bytes, so no transaction can resolve both ways.
+  //
+  // Writes come from generators invoked AFTER both latches are held: a
+  // write's new bytes depend on the current image (balance += amount), so
+  // computing them before latching would race with concurrent transactions
+  // on the same records. The remote's in-band resolution feeds the audit.
+  // Returns the home commit sequence, or 0 when the transaction aborted.
+  struct Write {
+    std::uint64_t off = 0;
+    std::vector<std::uint8_t> bytes;
+  };
+  using WriteGen = std::function<std::vector<Write>()>;
+  std::uint64_t commit_cross(ShardId home, ShardId remote, const WriteGen& home_writes,
+                             const WriteGen& remote_writes, const InCommitKill& kill);
+
   // Id-based access for the Rebalancer (Shard is an implementation type).
   // shard_db_ptr must be read under the shard's latch: a promotion swaps
   // the backing image.
   core::Latch& shard_latch(ShardId id);
   const std::uint8_t* shard_db_ptr(ShardId id) const;
-  CrossShardCoordinator::Participant shard_participant(ShardId id);
   void promote(Shard& shard);
   // Give backup `index` a fresh inline link in peer slot `index` of the
   // shard's pipeline and adopt it into the view (the adopt bumps the epoch).
@@ -338,7 +368,8 @@ class ShardedCluster {
   std::size_t workload_bytes_;
   ShardMap map_;
   wl::DebitCredit workload_;
-  std::unique_ptr<CrossShardCoordinator> coordinator_;
+  DecisionLog dlog_;
+  std::atomic<std::uint64_t> xid_counter_{0};
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<unsigned> live_shards_{0};  // published size of shards_
   // Guards map_ reads/writes across threads; always acquired either alone

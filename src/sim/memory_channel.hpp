@@ -111,7 +111,6 @@ class McInterface {
 
   const TrafficStats& traffic() const { return traffic_; }
   SimTime stall_ns() const { return stall_ns_; }
-  std::uint64_t packets() const { return wbufs_.packets_emitted(); }
   McFabric* fabric() { return fabric_; }
 
  private:

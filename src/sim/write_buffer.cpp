@@ -68,7 +68,6 @@ void WriteBufferSet::flush(Buffer& b) {
     pkt.io_offset = b.block * kWriteBufferBytes + i;
     pkt.len = static_cast<std::uint32_t>(j - i);
     std::memcpy(pkt.data.data(), b.data.data() + i, j - i);
-    ++packets_emitted_;
     sink_(pkt);
     i = j;
   }

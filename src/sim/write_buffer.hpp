@@ -54,8 +54,6 @@ class WriteBufferSet {
   // Drain every buffer (memory barrier before advancing a commit flag).
   void flush_all();
 
-  std::uint64_t packets_emitted() const { return packets_emitted_; }
-
  private:
   struct Buffer {
     bool valid = false;
@@ -71,7 +69,6 @@ class WriteBufferSet {
   bool coalescing_ = true;
   std::array<Buffer, kNumWriteBuffers> buffers_{};
   std::uint64_t next_age_ = 0;
-  std::uint64_t packets_emitted_ = 0;
   PacketSink sink_;
 };
 

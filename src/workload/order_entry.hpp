@@ -31,9 +31,6 @@ class OrderEntry final : public Workload {
   void run_txn(core::TransactionStore& store, Rng& rng) override;
   std::string check_consistency(const core::TransactionStore& store) const override;
 
-  std::size_t num_warehouses() const { return num_warehouses_; }
-  std::size_t num_order_slots() const { return num_order_slots_; }
-
  private:
   static constexpr std::size_t kDistrictsPerWarehouse = 10;
   static constexpr std::size_t kCustomersPerDistrict = 3000;

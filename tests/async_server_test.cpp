@@ -60,7 +60,8 @@ struct Shard {
     primary->set_two_safe(true);
     primary->set_commit_window(8);
     backup = std::make_unique<net::WireBackup>(replica);
-    backup_thread = std::thread([this] { backup->serve(backup_end, 4000); });
+    backup_thread = std::thread(
+        [this] { backup->serve(backup_end, net::WireBackup::ServeOptions{4000, nullptr}); });
     EXPECT_TRUE(primary->sync_backup());
   }
 

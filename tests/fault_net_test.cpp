@@ -6,14 +6,17 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <set>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "cluster/membership.hpp"
 #include "net/fault_transport.hpp"
+#include "net/frame.hpp"
 #include "net/transport.hpp"
 #include "net/wire_repl.hpp"
+#include "repl/codec.hpp"
 #include "util/crc32.hpp"
 #include "util/rng.hpp"
 
@@ -173,7 +176,9 @@ TEST(FaultInjector, DroppedAndDuplicatedBatchesResyncInBand) {
   WirePrimary primary(arena, config, &chaos, /*format=*/true);
   rio::Arena replica = rio::Arena::create(config.db_size);
   WireBackup backup(replica);
-  ServeThread backup_thread(pair.client, [&] { backup.serve(pair.server, 4000); });
+  ServeThread backup_thread(pair.client, [&] {
+    backup.serve(pair.server, WireBackup::ServeOptions{4000, nullptr});
+  });
 
   ASSERT_TRUE(primary.sync_backup());
   Rng rng(21);
@@ -191,17 +196,51 @@ TEST(FaultInjector, DroppedAndDuplicatedBatchesResyncInBand) {
   EXPECT_GT(backup.applier().stats().resyncs, 0u);
 }
 
+// Flips one payload bit of each chosen redo batch, keyed by the batch's
+// sequence, on its first delivery only (a rejoin delta re-sends it clean).
+// The header stays intact, so however many resync frames timing adds to the
+// stream, every flip is a payload-CRC failure and never a closed stream.
+class PayloadBitflipper final : public Transport {
+ public:
+  PayloadBitflipper(Transport& inner, std::set<std::uint64_t> seqs)
+      : inner_(&inner), seqs_(std::move(seqs)) {}
+
+  bool send(MsgType type, std::uint64_t epoch, const void* payload,
+            std::size_t len) override {
+    const auto* bytes = static_cast<const std::uint8_t*>(payload);
+    if (type != MsgType::kRedoBatch || len < repl::kBatchHeaderBytes ||
+        seqs_.erase(repl::batch_seq(bytes)) == 0) {
+      return inner_->send(type, epoch, payload, len);
+    }
+    std::vector<std::uint8_t> frame = encode_frame(type, epoch, payload, len);
+    frame.back() ^= 0x01;  // the last payload byte
+    flips_++;
+    return inner_->send_bytes(frame.data(), frame.size());
+  }
+  std::optional<Message> recv(int timeout_ms) override { return inner_->recv(timeout_ms); }
+  TransportError last_error() const override { return inner_->last_error(); }
+  bool connected() const override { return inner_->connected(); }
+  void close_peer() override { inner_->close_peer(); }
+  bool send_bytes(const void* bytes, std::size_t len) override {
+    return inner_->send_bytes(bytes, len);
+  }
+
+  std::uint64_t flips() const { return flips_; }
+
+ private:
+  Transport* inner_;
+  std::set<std::uint64_t> seqs_;
+  std::uint64_t flips_ = 0;
+};
+
 TEST(FaultInjector, BitflippedFramesAreSkippedAndResynced) {
   // Payload bit-flips surface as payload-CRC failures: the backup skips the
-  // frame, stays connected, and repairs the sequence gap in-band. (A flip
-  // landing in the header instead closes the stream; keep the rate low and
-  // the run short so this seed stays on the payload path.)
+  // frame, stays connected, and repairs the sequence gap in-band. The flips
+  // are keyed by batch sequence, not frame index, so they hit the same
+  // batches however the resync traffic interleaves: two lone batches, two
+  // back to back, and the last one (only a heartbeat reveals that gap).
   LoopbackPair pair;
-  FaultPlan plan;
-  plan.seed = 1302;
-  plan.bitflip = 0.04;
-  plan.start_after_frames = 2;
-  FaultInjectingTransport chaos(pair.client, plan);
+  PayloadBitflipper chaos(pair.client, {20, 61, 62, 110, 150});
 
   core::StoreConfig config;
   config.db_size = 128 * 1024;
@@ -210,22 +249,21 @@ TEST(FaultInjector, BitflippedFramesAreSkippedAndResynced) {
   WirePrimary primary(arena, config, &chaos, /*format=*/true);
   rio::Arena replica = rio::Arena::create(config.db_size);
   WireBackup backup(replica);
-  ServeThread backup_thread(pair.client, [&] { backup.serve(pair.server, 4000); });
+  ServeThread backup_thread(pair.client, [&] {
+    backup.serve(pair.server, WireBackup::ServeOptions{4000, nullptr});
+  });
 
   ASSERT_TRUE(primary.sync_backup());
   Rng rng(3);
-  // 1 KB ranges keep the 24-byte header a tiny bit-flip target, so this
-  // seed's flips all land in payloads.
   for (int i = 0; i < 150; ++i) commit_random_txn(primary, rng, config.db_size, 1024);
   ASSERT_TRUE(primary.pipeline().connection_alive());  // no flip hit a header
-  // Chaos window over: converge over the clean transport (a flipped
-  // heartbeat header would tear the stream down for nothing).
+  // Chaos window over: converge over the clean transport.
   primary.attach_transport(&pair.client);
   EXPECT_TRUE(await_ack(primary, 150));
   chaos.close_peer();
   backup_thread.join();
 
-  EXPECT_GT(chaos.stats().bitflips, 0u);
+  EXPECT_EQ(chaos.flips(), 5u);
   EXPECT_GT(backup.applier().stats().corrupt_skipped, 0u);
   EXPECT_EQ(backup.applied_seq(), 150u);
   EXPECT_EQ(std::memcmp(backup.db(), primary.db(), config.db_size), 0);
@@ -252,7 +290,9 @@ TEST(FaultInjector, TornFrameThenReconnectRejoinsWithDelta) {
   rio::Arena replica = rio::Arena::create(config.db_size);
   WireBackup backup(replica);
   WireBackup::ServeResult phase1{};
-  ServeThread backup_thread(pair.client, [&] { phase1 = backup.serve(pair.server, 2000); });
+  ServeThread backup_thread(pair.client, [&] {
+    phase1 = backup.serve(pair.server, WireBackup::ServeOptions{2000, nullptr});
+  });
 
   ASSERT_TRUE(primary.sync_backup());
   Rng rng(77);
@@ -271,7 +311,9 @@ TEST(FaultInjector, TornFrameThenReconnectRejoinsWithDelta) {
   // Reconnect (sans injector) and rejoin: the primary serves the delta.
   pair.reconnect();
   ASSERT_TRUE(backup.request_rejoin(pair.server));
-  ServeThread backup_thread2(pair.client, [&] { backup.serve(pair.server, 2000); });
+  ServeThread backup_thread2(pair.client, [&] {
+    backup.serve(pair.server, WireBackup::ServeOptions{2000, nullptr});
+  });
   primary.attach_transport(&pair.client);
   ASSERT_TRUE(primary.pipeline().handle_rejoin(2000));
   for (int i = 0; i < 2; ++i) commit_random_txn(primary, rng, config.db_size);
@@ -307,7 +349,9 @@ TEST(FaultInjector, CheckpointDeltaInstallUnderFaultsConvergesUntorn) {
   WireBackup backup(replica);
 
   WireBackup::ServeResult phase1{};
-  ServeThread serve1(pair.client, [&] { phase1 = backup.serve(pair.server, 2000); });
+  ServeThread serve1(pair.client, [&] {
+    phase1 = backup.serve(pair.server, WireBackup::ServeOptions{2000, nullptr});
+  });
   ASSERT_TRUE(primary.sync_backup());
   Rng rng(42);
   for (int i = 0; i < 30; ++i) commit_random_txn(primary, rng, config.db_size, 256);
@@ -335,7 +379,9 @@ TEST(FaultInjector, CheckpointDeltaInstallUnderFaultsConvergesUntorn) {
   plan.duplicate = 0.25;
   FaultInjectingTransport chaos(pair.client, plan);
   ASSERT_TRUE(backup.request_rejoin(pair.server));
-  ServeThread serve2(pair.client, [&] { backup.serve(pair.server, 2000); });
+  ServeThread serve2(pair.client, [&] {
+    backup.serve(pair.server, WireBackup::ServeOptions{2000, nullptr});
+  });
   primary.attach_transport(&chaos);
   ASSERT_TRUE(primary.pipeline().handle_rejoin(2000));
   // Chaos window over: converge over the clean transport (re-requests are
@@ -439,7 +485,9 @@ TEST(Fencing, SplitBrainOldPrimaryIsFencedThenRejoins) {
   // takeover floor under the old epoch — a delta would smuggle divergent
   // state in, so B must ship the full image.
   ASSERT_TRUE(rejoiner_a.request_rejoin(pair.client));
-  ServeThread serve3(pair.server, [&] { rejoiner_a.serve(pair.client, 2000); });
+  ServeThread serve3(pair.server, [&] {
+    rejoiner_a.serve(pair.client, WireBackup::ServeOptions{2000, nullptr});
+  });
   ASSERT_TRUE(primary_b.pipeline().handle_rejoin(2000));
   EXPECT_EQ(primary_b.pipeline().stats().full_syncs_served, 1u);
   EXPECT_EQ(primary_b.pipeline().stats().deltas_served, 0u);
@@ -475,7 +523,9 @@ TEST(Rejoin, FullImageFallbackWhenHistoryEvicted) {
   WireBackup backup(replica);
 
   WireBackup::ServeResult phase1{};
-  ServeThread serve1(pair.client, [&] { phase1 = backup.serve(pair.server, 2000); });
+  ServeThread serve1(pair.client, [&] {
+    phase1 = backup.serve(pair.server, WireBackup::ServeOptions{2000, nullptr});
+  });
   ASSERT_TRUE(primary.sync_backup());
   Rng rng(9);
   for (int i = 0; i < 30; ++i) commit_random_txn(primary, rng, config.db_size, 256);
@@ -491,7 +541,9 @@ TEST(Rejoin, FullImageFallbackWhenHistoryEvicted) {
 
   pair.reconnect();
   ASSERT_TRUE(backup.request_rejoin(pair.server));
-  ServeThread serve2(pair.client, [&] { backup.serve(pair.server, 2000); });
+  ServeThread serve2(pair.client, [&] {
+    backup.serve(pair.server, WireBackup::ServeOptions{2000, nullptr});
+  });
   primary.attach_transport(&pair.client);
   ASSERT_TRUE(primary.pipeline().handle_rejoin(2000));
   EXPECT_EQ(primary.pipeline().stats().full_syncs_served, 1u);

@@ -506,7 +506,7 @@ TEST(WireRepl, BackupTracksPrimaryOverTcp) {
   WireBackup backup(backup_arena);
   std::thread backup_thread([&] {
     // Serve until the primary closes (test end) or goes silent.
-    backup.serve(pair.server, 2000);
+    backup.serve(pair.server, WireBackup::ServeOptions{2000, nullptr});
   });
 
   ASSERT_TRUE(primary.sync_backup());
@@ -548,7 +548,9 @@ TEST(WireRepl, AbortedTransactionsNeverReachTheBackup) {
   WirePrimary primary(primary_arena, config, &pair.client, true);
   rio::Arena backup_arena = rio::Arena::create(config.db_size);
   WireBackup backup(backup_arena);
-  std::thread backup_thread([&] { backup.serve(pair.server, 2000); });
+  std::thread backup_thread([&] {
+    backup.serve(pair.server, WireBackup::ServeOptions{2000, nullptr});
+  });
 
   ASSERT_TRUE(primary.sync_backup());
   primary.begin_transaction();

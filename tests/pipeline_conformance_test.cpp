@@ -164,7 +164,9 @@ WireResult run_wire_backend(net::Transport& primary_transport, net::Transport& b
   primary.pipeline().set_group_size(group);
   rio::Arena replica = rio::Arena::create(config.db_size);
   net::WireBackup backup(replica);
-  std::thread backup_thread([&] { backup.serve(backup_end, 4000); });
+  std::thread backup_thread([&] {
+    backup.serve(backup_end, net::WireBackup::ServeOptions{4000, nullptr});
+  });
 
   EXPECT_TRUE(primary.sync_backup());
   replay(primary, history());
@@ -1488,7 +1490,7 @@ TEST(ReadYourWrites, WireBackupServesTheTicketSeqOnceAcked) {
   primary.set_commit_window(8);
   rio::Arena replica = rio::Arena::create(config.db_size);
   net::WireBackup backup(replica);
-  std::thread backup_thread([&] { backup.serve(b, 4000); });
+  std::thread backup_thread([&] { backup.serve(b, net::WireBackup::ServeOptions{4000, nullptr}); });
   ASSERT_TRUE(primary.sync_backup());
 
   const std::uint64_t off = 512, value = 0x5afe5afe5afe5afeull;
@@ -1524,7 +1526,7 @@ TEST(ReadYourWrites, WireBackupServesTheTicketSeqOnceAcked) {
 
 // ---- cross-shard 2PC regression tests --------------------------------------
 //
-// The prepare/decide hooks shard::CrossShardCoordinator drives: phase-1
+// The prepare/decide hooks shard::ShardedCluster's 2PC drives: phase-1
 // batches are buffered in-doubt on the backup (sequence consumed, bytes
 // deferred), phase-2 decides apply or discard them, and takeover resolution
 // replays the same rule through resolve_in_doubt().

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "net/shard_mux.hpp"
-#include "shard/coordinator.hpp"
 #include "shard/decision_log.hpp"
 #include "shard/shard_map.hpp"
 #include "shard/sharded_cluster.hpp"
@@ -190,13 +189,12 @@ TEST(DecisionLog, SlotsRecycleModuloTheRing) {
   EXPECT_EQ(dlog.bytes(), 4 * shard::DecisionLog::kSlotBytes);
 }
 
-TEST(Coordinator, XidsEncodeTheirHomeShard) {
-  shard::CrossShardCoordinator coord(shard::DecisionLog(0, 4));
-  const std::uint64_t a = coord.next_xid(2);
-  const std::uint64_t b = coord.next_xid(0);
+TEST(DecisionLog, XidsEncodeTheirHomeShard) {
+  const std::uint64_t a = shard::make_xid(2, 1);
+  const std::uint64_t b = shard::make_xid(0, 2);
   EXPECT_NE(a, b);
-  EXPECT_EQ(shard::CrossShardCoordinator::home_of(a), 2u);
-  EXPECT_EQ(shard::CrossShardCoordinator::home_of(b), 0u);
+  EXPECT_EQ(shard::xid_home(a), 2u);
+  EXPECT_EQ(shard::xid_home(b), 0u);
 }
 
 // ---- net/shard_mux ----------------------------------------------------------
@@ -574,6 +572,31 @@ TEST(ShardChaos, KillingTheRemoteAfterHomeCommitStillCommits) {
     if (committed) found_commit_resolution = true;
   }
   EXPECT_TRUE(found_commit_resolution);
+  expect_converged(cluster, replay_oracle(cluster, 21, 0.4, run));
+}
+
+TEST(ShardChaos, KillingTheRemoteAfterPrepareAborts) {
+  // The remote's primary dies holding a prepare, before the home commit:
+  // no decision record exists, so the transaction presumes abort and the
+  // remote's promoted backup must resolve its buffered prepare as abort —
+  // the only resolution this transaction gets.
+  shard::ShardedConfig config;
+  config.shards = 3;
+  config.backups_per_shard = 2;
+  Cluster cluster(config);
+  shard::ChaosSchedule chaos;
+  chaos.kill_after_txn = 100;
+  chaos.point = shard::ChaosSchedule::Point::kAfterPrepare;
+  chaos.target = shard::ChaosSchedule::Target::kRemoteShard;
+  const Cluster::RunResult run = cluster.run(21, 800, 0.4, chaos);
+  EXPECT_EQ(run.takeovers, 1u);
+  EXPECT_EQ(run.chaos_aborted, 1u) << "the in-flight 2PC txn must presume abort";
+  EXPECT_EQ(run.committed, 799u);
+  std::size_t aborts = 0;
+  for (const auto& [xid, committed] : cluster.resolutions()) {
+    if (!committed) aborts += 1;
+  }
+  EXPECT_EQ(aborts, 1u) << "the takeover resolved the in-doubt prepare as abort, once";
   expect_converged(cluster, replay_oracle(cluster, 21, 0.4, run));
 }
 

@@ -193,48 +193,5 @@ TEST(SmpExecutor, TinyQueueBackpressureIsLossless) {
   expect_converged(executor, harness, 1'200);
 }
 
-// The partition routing hook (the shard router's integration point): a null
-// hook must be byte-identical to the historical `draw % partitions`
-// placement — same RNG stream, same images — and a custom hook changes
-// placement ONLY, never correctness.
-TEST(SmpExecutor, RouteHookDefaultsToModuloAndOnlyMovesPlacement) {
-  SmpConfig config;
-  config.workload = wl::WorkloadKind::kDebitCredit;
-  // One worker: the draw stream AND the sequencing order are deterministic,
-  // so byte-identity between runs is meaningful.
-  config.workers = 1;
-  config.partitions = 4;
-  config.txns_per_worker = 800;
-
-  SmpExecutor baseline(config, /*link=*/nullptr);
-  ASSERT_EQ(baseline.run().committed, 800u);
-
-  // An explicit hook that reproduces the default placement: identical image.
-  SmpConfig explicit_mod = config;
-  explicit_mod.route = [](std::uint32_t draw, std::size_t partitions) {
-    return static_cast<std::size_t>(draw % partitions);
-  };
-  SmpExecutor mirrored(explicit_mod, /*link=*/nullptr);
-  ASSERT_EQ(mirrored.run().committed, 800u);
-  ASSERT_EQ(mirrored.image_size(), baseline.image_size());
-  EXPECT_EQ(Crc32::of(mirrored.image(), mirrored.image_size()),
-            Crc32::of(baseline.image(), baseline.image_size()))
-      << "a modulo route hook must be byte-identical to no hook";
-
-  // A skewing hook (everything onto the upper half): placement moves, the
-  // per-partition books still balance, and the same draw stream committed
-  // the same transaction count.
-  SmpConfig skewed = config;
-  skewed.route = [](std::uint32_t draw, std::size_t partitions) {
-    return partitions / 2 + static_cast<std::size_t>(draw) % (partitions - partitions / 2);
-  };
-  SmpExecutor skew(skewed, /*link=*/nullptr);
-  ASSERT_EQ(skew.run().committed, 800u);
-  EXPECT_EQ(skew.check_consistency(), "");
-  EXPECT_NE(Crc32::of(skew.image(), skew.image_size()),
-            Crc32::of(baseline.image(), baseline.image_size()))
-      << "the skewing hook never changed placement";
-}
-
 }  // namespace
 }  // namespace vrep::exec
