@@ -438,6 +438,87 @@ TEST(AsyncServer, MidBatchProtocolViolationClosesTheConnNotTheServer) {
   EXPECT_EQ(server.stats().conns_open.load(), 0u);
 }
 
+// One whole kClientCommit frame, as send_commit would put it on the wire.
+std::vector<std::uint8_t> encode_commit(std::uint64_t op_id, std::uint64_t key,
+                                        std::uint64_t off, std::uint64_t value) {
+  std::uint8_t payload[32];
+  std::memcpy(payload, &op_id, 8);
+  std::memcpy(payload + 8, &key, 8);
+  std::memcpy(payload + 16, &off, 8);
+  std::memcpy(payload + 24, &value, 8);
+  return net::encode_frame(net::MsgType::kClientCommit, 1, payload, sizeof payload);
+}
+
+TEST(AsyncServer, CorruptPayloadIsSkippedAndTheConnectionServesOn) {
+  // A client frame whose payload CRC fails arrived whole, so the stream is
+  // still aligned: the server skips that frame and answers the next commit
+  // on the same connection.
+  Shard shard;
+  net::AsyncServer server;
+  server.add_shard(shard.endpoint());
+  server.set_router([](std::uint64_t) { return 0u; });
+  ASSERT_TRUE(server.listen(0));
+  ASSERT_TRUE(server.start());
+
+  net::TcpTransport client;
+  connect_client(client, server.bound_port());
+  std::vector<std::uint8_t> bad = encode_commit(1, 1, 64, 0x11);
+  bad.back() ^= 0x01;  // a payload bit; the header CRC still matches
+  ASSERT_TRUE(client.send_bytes(bad.data(), bad.size()));
+  ASSERT_TRUE(send_commit(client, 2, 1, 72, 0x22));
+  std::optional<CommitReply> reply = recv_commit_reply(client);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->op_id, 2u) << "the corrupt commit must never be answered";
+  EXPECT_NE(reply->outcome, net::AsyncServer::kRejectedOutcome);
+  EXPECT_TRUE(client.connected());
+  server.stop();
+  EXPECT_EQ(server.stats().frames_skipped.load(), 1u);
+  EXPECT_EQ(server.stats().conns_corrupt.load(), 0u);
+  EXPECT_EQ(server.stats().commits_submitted.load(), 1u);
+}
+
+TEST(AsyncServer, CorruptHeaderClosesOnlyItsConnection) {
+  // A header that fails its CRC, or that claims more than kMaxFramePayload,
+  // leaves the frame length untrusted: the server closes that connection
+  // and keeps serving every other one.
+  for (const bool oversized : {false, true}) {
+    SCOPED_TRACE(oversized ? "length above kMaxFramePayload" : "flipped header bit");
+    Shard shard;
+    net::AsyncServer server;
+    server.add_shard(shard.endpoint());
+    server.set_router([](std::uint64_t) { return 0u; });
+    ASSERT_TRUE(server.listen(0));
+    ASSERT_TRUE(server.start());
+
+    net::TcpTransport bad, good;
+    connect_client(bad, server.bound_port());
+    connect_client(good, server.bound_port());
+    std::vector<std::uint8_t> frame = encode_commit(1, 1, 64, 0x11);
+    if (oversized) {
+      net::FrameHeader hdr;
+      std::memcpy(&hdr, frame.data(), sizeof hdr);
+      hdr.len = static_cast<std::uint32_t>(net::kMaxFramePayload + 1);
+      hdr.header_crc = net::frame_header_crc(hdr);  // a well-formed lie
+      std::memcpy(frame.data(), &hdr, sizeof hdr);
+    } else {
+      frame[0] ^= 0x01;  // an epoch bit: the header CRC no longer matches
+    }
+    ASSERT_TRUE(bad.send_bytes(frame.data(), frame.size()));
+    EXPECT_FALSE(bad.recv(2000).has_value());
+    EXPECT_EQ(bad.last_error(), net::TransportError::kClosed);
+
+    ASSERT_TRUE(send_commit(good, 2, 1, 72, 0x22));
+    std::optional<CommitReply> reply = recv_commit_reply(good);
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_EQ(reply->op_id, 2u);
+    EXPECT_NE(reply->outcome, net::AsyncServer::kRejectedOutcome);
+    server.stop();
+    EXPECT_EQ(server.stats().conns_corrupt.load(), 1u);
+    EXPECT_EQ(server.stats().frames_skipped.load(), 0u);
+    EXPECT_EQ(server.stats().commits_submitted.load(), 1u);
+  }
+}
+
 TEST(AsyncServer, StopAccountsForConnectionsItCloses) {
   // Regression: stop() closed still-open connections without decrementing
   // conns_open, leaving the gauge permanently inflated across a restart.

@@ -1,7 +1,11 @@
 // TCP transport framing and wire replication (loopback, two threads).
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
 #include <pthread.h>
 #include <signal.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -111,51 +115,127 @@ TEST(Transport, LargePayload) {
   EXPECT_EQ(msg->payload, big);
 }
 
+// Runs `check(sender, receiver)` over both byte-stream carriers: a TCP
+// loopback pair and an in-process pair. Each must apply the frame rules of
+// net/frame.hpp the same way.
+template <typename Check>
+void over_both_carriers(const Check& check) {
+  {
+    SCOPED_TRACE("tcp");
+    LoopbackPair pair;
+    check(pair.client, pair.server);
+  }
+  {
+    SCOPED_TRACE("inproc");
+    InprocTransport a, b;
+    InprocTransport::pair(a, b);
+    check(a, b);
+  }
+}
+
+TEST(Transport, EncodedHeaderIsPinnedByteForByte) {
+  // The 24-byte header, literally: u64 epoch, u32 payload length, u32
+  // CRC32C of the payload, u32 CRC32C over (epoch, length, type), u8 type,
+  // three zero pad bytes, all little-endian.
+  const char payload[] = {'a', 'b', 'c'};
+  const auto frame =
+      encode_frame(MsgType::kHeartbeat, 0x0102030405060708ull, payload, sizeof payload);
+  const std::vector<std::uint8_t> want = {
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  // epoch
+      0x03, 0x00, 0x00, 0x00,                          // payload length
+      0xb7, 0x3f, 0x4b, 0x36,                          // payload CRC32C
+      0xca, 0x2e, 0xed, 0xaf,                          // header CRC32C
+      0x02,                                            // type (kHeartbeat)
+      0x00, 0x00, 0x00,                                // pad
+      'a',  'b',  'c'};
+  EXPECT_EQ(frame, want);
+}
+
+TEST(Transport, TcpSendWritesExactlyTheEncodedFrame) {
+  // TcpTransport::send puts header and payload on the socket itself; a raw
+  // socket on the far end must read exactly encode_frame's bytes.
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t addr_len = sizeof addr;
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &addr_len), 0);
+  TcpTransport client;
+  ASSERT_TRUE(client.connect_to("127.0.0.1", ntohs(addr.sin_port)));
+  const int raw = ::accept(listener, nullptr, nullptr);
+  ::close(listener);
+  ASSERT_GE(raw, 0);
+
+  std::vector<std::uint8_t> payload(5000);
+  for (std::size_t i = 0; i < payload.size(); ++i) payload[i] = static_cast<std::uint8_t>(i * 7);
+  ASSERT_TRUE(client.send(MsgType::kRedoBatch, 9, payload.data(), payload.size()));
+  ASSERT_TRUE(client.send(MsgType::kHeartbeat, 9, nullptr, 0));
+  std::vector<std::uint8_t> want =
+      encode_frame(MsgType::kRedoBatch, 9, payload.data(), payload.size());
+  const auto empty = encode_frame(MsgType::kHeartbeat, 9, nullptr, 0);
+  want.insert(want.end(), empty.begin(), empty.end());
+  std::vector<std::uint8_t> got(want.size());
+  std::size_t have = 0;
+  while (have < got.size()) {
+    const ssize_t n = ::recv(raw, got.data() + have, got.size() - have, 0);
+    ASSERT_GT(n, 0);
+    have += static_cast<std::size_t>(n);
+  }
+  ::close(raw);
+  EXPECT_EQ(got, want);
+}
+
 TEST(Transport, PayloadCorruptionIsSkippableInStream) {
   // A frame whose payload CRC fails must leave the stream aligned: the
   // receiver reports kCorrupt but stays connected and can read the next
   // frame.
-  LoopbackPair pair;
-  const char good[] = "intact";
-  auto bad = encode_frame(MsgType::kRedoBatch, 1, good, sizeof good);
-  bad.back() ^= 0x01;  // flip a payload bit; header CRC still matches
-  ASSERT_TRUE(pair.client.send_bytes(bad.data(), bad.size()));
-  ASSERT_TRUE(pair.client.send(MsgType::kHeartbeat, 1, good, sizeof good));
+  over_both_carriers([](Transport& sender, Transport& receiver) {
+    const char good[] = "intact";
+    auto bad = encode_frame(MsgType::kRedoBatch, 1, good, sizeof good);
+    bad.back() ^= 0x01;  // flip a payload bit; header CRC still matches
+    ASSERT_TRUE(sender.send_bytes(bad.data(), bad.size()));
+    ASSERT_TRUE(sender.send(MsgType::kHeartbeat, 1, good, sizeof good));
 
-  auto first = pair.server.recv(1000);
-  EXPECT_FALSE(first.has_value());
-  EXPECT_EQ(pair.server.last_error(), TransportError::kCorrupt);
-  EXPECT_TRUE(pair.server.connected());
-  auto second = pair.server.recv(1000);
-  ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(second->type, MsgType::kHeartbeat);
+    auto first = receiver.recv(1000);
+    EXPECT_FALSE(first.has_value());
+    EXPECT_EQ(receiver.last_error(), TransportError::kCorrupt);
+    EXPECT_TRUE(receiver.connected());
+    auto second = receiver.recv(1000);
+    ASSERT_TRUE(second.has_value());
+    EXPECT_EQ(second->type, MsgType::kHeartbeat);
+  });
 }
 
 TEST(Transport, HeaderCorruptionClosesTheStream) {
   // If the header CRC fails, the length field cannot be trusted and framing
   // is lost for good: the transport reports kCorrupt and disconnects.
-  LoopbackPair pair;
-  const char payload[] = "doomed";
-  auto frame = encode_frame(MsgType::kRedoBatch, 1, payload, sizeof payload);
-  frame[8] ^= 0x40;  // flip a bit in the length field
-  ASSERT_TRUE(pair.client.send_bytes(frame.data(), frame.size()));
-  auto msg = pair.server.recv(1000);
-  EXPECT_FALSE(msg.has_value());
-  EXPECT_EQ(pair.server.last_error(), TransportError::kCorrupt);
-  EXPECT_FALSE(pair.server.connected());
+  over_both_carriers([](Transport& sender, Transport& receiver) {
+    const char payload[] = "doomed";
+    auto frame = encode_frame(MsgType::kRedoBatch, 1, payload, sizeof payload);
+    frame[8] ^= 0x40;  // flip a bit in the length field
+    ASSERT_TRUE(sender.send_bytes(frame.data(), frame.size()));
+    auto msg = receiver.recv(1000);
+    EXPECT_FALSE(msg.has_value());
+    EXPECT_EQ(receiver.last_error(), TransportError::kCorrupt);
+    EXPECT_FALSE(receiver.connected());
+  });
 }
 
 TEST(Transport, TornFrameReportsClosedNotGarbage) {
   // Kill the sender mid-frame: the receiver must report kClosed (torn
   // stream), never hand out a partial message.
-  LoopbackPair pair;
-  std::vector<std::uint8_t> payload(4096, 0xab);
-  const auto frame = encode_frame(MsgType::kRedoBatch, 1, payload.data(), payload.size());
-  ASSERT_TRUE(pair.client.send_bytes(frame.data(), frame.size() / 2));
-  pair.client.close_peer();
-  auto msg = pair.server.recv(1000);
-  EXPECT_FALSE(msg.has_value());
-  EXPECT_EQ(pair.server.last_error(), TransportError::kClosed);
+  over_both_carriers([](Transport& sender, Transport& receiver) {
+    std::vector<std::uint8_t> payload(4096, 0xab);
+    const auto frame = encode_frame(MsgType::kRedoBatch, 1, payload.data(), payload.size());
+    ASSERT_TRUE(sender.send_bytes(frame.data(), frame.size() / 2));
+    sender.close_peer();
+    auto msg = receiver.recv(1000);
+    EXPECT_FALSE(msg.has_value());
+    EXPECT_EQ(receiver.last_error(), TransportError::kClosed);
+  });
 }
 
 TEST(Transport, RecvTimesOutWhenSilent) {
@@ -330,17 +410,7 @@ TEST(Transport, TimeoutMidFrameResumesOnTheNextRecv) {
     ASSERT_TRUE(next.has_value());
     EXPECT_EQ(next->type, MsgType::kHeartbeat);
   };
-  {
-    SCOPED_TRACE("tcp");
-    LoopbackPair pair;
-    check(pair.client, pair.server);
-  }
-  {
-    SCOPED_TRACE("inproc");
-    InprocTransport a, b;
-    InprocTransport::pair(a, b);
-    check(a, b);
-  }
+  over_both_carriers(check);
 }
 
 // ---- accept_peer / connect_to deadline semantics ---------------------------
