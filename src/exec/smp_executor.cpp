@@ -100,7 +100,6 @@ SmpExecutor::SmpExecutor(const SmpConfig& config, repl::ReplicationLink* link)
     partitions_.push_back(std::move(part));
   }
   pipeline_.set_two_safe(config_.two_safe);
-  pipeline_.set_quorum(config_.quorum);
   pipeline_.set_commit_window(config_.commit_window);
   pipeline_.set_group_size(config_.group_size);
   // Pre-size the record pool so the steady state never allocates: the ring

@@ -110,42 +110,31 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     streams.push_back(std::move(stream));
   }
 
-  // Run. With several streams we always advance the one with the smallest
-  // virtual clock, so contention for the shared link is resolved in
+  // Run. Each step advances the stream with the smallest virtual clock, so
+  // with several streams contention for the shared link is resolved in
   // (approximately transaction-granular) timestamp order.
   // Commit latency = this stream's virtual-clock delta across one txn
   // (dispatch + workload + replication stalls); feeds the per-run result
   // histogram and the process-wide registry timer.
   ExperimentResult result;
   metrics::Timer& latency_timer = metrics::timer("harness.commit_latency_ns");
-  if (config.streams == 1) {
-    Stream& st = *streams[0];
-    sim::Cpu& cpu = primary.cpu(0);
-    while (st.remaining-- > 0) {
-      const sim::SimTime t0 = cpu.clock().now();
-      cpu.bus().charge(config.cost.txn_dispatch_ns);
-      st.workload->run_txn(*st.store, st.rng);
-      result.commit_latency_ns.add(static_cast<std::uint64_t>(cpu.clock().now() - t0));
-    }
-  } else {
-    while (true) {
-      Stream* best = nullptr;
-      sim::Cpu* best_cpu = nullptr;
-      for (int s = 0; s < config.streams; ++s) {
-        if (streams[s]->remaining == 0) continue;
-        sim::Cpu& cpu = primary.cpu(static_cast<std::size_t>(s));
-        if (best == nullptr || cpu.clock().now() < best_cpu->clock().now()) {
-          best = streams[s].get();
-          best_cpu = &cpu;
-        }
+  while (true) {
+    Stream* best = nullptr;
+    sim::Cpu* best_cpu = nullptr;
+    for (int s = 0; s < config.streams; ++s) {
+      if (streams[s]->remaining == 0) continue;
+      sim::Cpu& cpu = primary.cpu(static_cast<std::size_t>(s));
+      if (best == nullptr || cpu.clock().now() < best_cpu->clock().now()) {
+        best = streams[s].get();
+        best_cpu = &cpu;
       }
-      if (best == nullptr) break;
-      const sim::SimTime t0 = best_cpu->clock().now();
-      best_cpu->bus().charge(config.cost.txn_dispatch_ns);
-      best->workload->run_txn(*best->store, best->rng);
-      result.commit_latency_ns.add(static_cast<std::uint64_t>(best_cpu->clock().now() - t0));
-      --best->remaining;
     }
+    if (best == nullptr) break;
+    const sim::SimTime t0 = best_cpu->clock().now();
+    best_cpu->bus().charge(config.cost.txn_dispatch_ns);
+    best->workload->run_txn(*best->store, best->rng);
+    result.commit_latency_ns.add(static_cast<std::uint64_t>(best_cpu->clock().now() - t0));
+    --best->remaining;
   }
   latency_timer.merge(result.commit_latency_ns);
 

@@ -13,7 +13,6 @@
 
 #include "net/frame.hpp"
 #include "util/check.hpp"
-#include "util/crc32.hpp"
 #include "util/metrics.hpp"
 
 namespace vrep::net {
@@ -32,20 +31,8 @@ T read_le(const std::uint8_t* p) {
 AsyncServer::~AsyncServer() { stop(); }
 
 bool AsyncServer::listen(std::uint16_t port) {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
-  if (listen_fd_ < 0) return false;
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) return false;
-  if (::listen(listen_fd_, 512) != 0) return false;
-  socklen_t len = sizeof addr;
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) != 0) return false;
-  port_ = ntohs(addr.sin_port);
-  return true;
+  listen_fd_ = listen_loopback(port, /*backlog=*/512, port_);
+  return listen_fd_ >= 0;
 }
 
 bool AsyncServer::start() {
@@ -95,9 +82,10 @@ void AsyncServer::stop() {
 
 void AsyncServer::run() {
   constexpr int kMaxEvents = 128;
+  constexpr int kTickMs = 1;  // parked-work retry cadence
   epoll_event events[kMaxEvents];
   while (running_.load(std::memory_order_acquire)) {
-    const int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, std::max(options_.tick_ms, 1));
+    const int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, kTickMs);
     if (n < 0) {
       if (errno == EINTR) continue;
       break;
@@ -201,18 +189,16 @@ bool AsyncServer::parse_frames(Conn& conn) {
   while (conn.in.size() - consumed >= sizeof(FrameHeader)) {
     FrameHeader hdr;
     std::memcpy(&hdr, conn.in.data() + consumed, sizeof hdr);
-    if (frame_header_crc(hdr) != hdr.header_crc || hdr.len > kMaxFramePayload) {
-      // Same rule as TcpTransport::recv: the length field cannot be
-      // trusted, framing is lost for good — close the connection.
+    if (!header_ok(hdr)) {  // framing is lost for good: close the connection
       stats_.conns_corrupt.fetch_add(1, std::memory_order_relaxed);
       metrics::counter("net.async.corrupt_headers").add(1);
       return false;
     }
     if (conn.in.size() - consumed < sizeof hdr + hdr.len) break;  // partial frame
     const std::uint8_t* payload = conn.in.data() + consumed + sizeof hdr;
-    if (Crc32::of(payload, hdr.len) != hdr.payload_crc) {
-      // Payload corruption: the frame is whole, the stream stays aligned —
-      // skip it (the client times out on the missing reply and retries).
+    if (!payload_ok(hdr, payload)) {
+      // The frame is whole and the stream stays aligned: skip it (the client
+      // times out on the missing reply and retries).
       stats_.frames_skipped.fetch_add(1, std::memory_order_relaxed);
       metrics::counter("net.async.corrupt_payloads").add(1);
     } else {
@@ -288,7 +274,7 @@ void AsyncServer::handle_read(Conn& conn, std::uint64_t epoch, const std::uint8_
   const std::uint64_t min_seq = read_le<std::uint64_t>(payload + 28);
   const std::uint32_t shard = router_(key);
   if (shard >= shards_.size() || shards_[shard].replicas.empty() ||
-      rlen > kMaxFramePayload - 17) {
+      rlen > kMaxFramePayload - kReadReplyHeader) {
     close_conn(conn);
     return;
   }
@@ -312,20 +298,19 @@ bool AsyncServer::try_read(std::uint64_t conn_id, std::uint64_t op_id, std::uint
     // skipped replica truly might lag; a consulted one may still bounce if
     // the advertisement ran ahead of this exact moment — fall through.
     if (replica.watermark() < min_seq) continue;
-    read_buf_.resize(len);
+    read_buf_.resize(kReadReplyHeader + len);  // read straight into the reply
     const repl::RedoApplier::ReadResult r =
-        replica.read(off, len, min_seq, read_buf_.data());
+        replica.read(off, len, min_seq, read_buf_.data() + kReadReplyHeader);
     switch (r.status) {
       case repl::RedoApplier::ReadStatus::kOk:
         stats_.reads_served.fetch_add(1, std::memory_order_relaxed);
         metrics::counter("net.async.reads_served").add(1);
-        send_read_reply(conn_id, op_id, epoch, r.at_seq,
-                        static_cast<std::uint8_t>(r.status), read_buf_.data(), len);
+        send_read_reply(conn_id, op_id, epoch, r.at_seq, static_cast<std::uint8_t>(r.status),
+                        len);
         return true;
       case repl::RedoApplier::ReadStatus::kOutOfBounds:
         // The range itself is bad; no replica will ever serve it.
-        send_read_reply(conn_id, op_id, epoch, r.at_seq,
-                        static_cast<std::uint8_t>(r.status), nullptr, 0);
+        send_read_reply(conn_id, op_id, epoch, r.at_seq, static_cast<std::uint8_t>(r.status), 0);
         return true;
       case repl::RedoApplier::ReadStatus::kLagging:
         continue;
@@ -380,8 +365,7 @@ void AsyncServer::tick() {
     stats_.reads_bounced.fetch_add(1, std::memory_order_relaxed);
     metrics::counter("net.async.reads_bounced").add(1);
     send_read_reply(pr.conn_id, pr.op_id, pr.epoch, best,
-                    static_cast<std::uint8_t>(repl::RedoApplier::ReadStatus::kLagging),
-                    nullptr, 0);
+                    static_cast<std::uint8_t>(repl::RedoApplier::ReadStatus::kLagging), 0);
   }
   parked_reads_.resize(kept);
 }
@@ -400,16 +384,14 @@ void AsyncServer::send_commit_reply(std::uint64_t conn_id, std::uint64_t op_id,
 
 void AsyncServer::send_read_reply(std::uint64_t conn_id, std::uint64_t op_id,
                                   std::uint64_t epoch, std::uint64_t at_seq,
-                                  std::uint8_t status, const std::uint8_t* data,
-                                  std::size_t len) {
+                                  std::uint8_t status, std::size_t len) {
   Conn* conn = find_conn(conn_id);
   if (conn == nullptr) return;
-  std::vector<std::uint8_t> payload(17 + len);
-  std::memcpy(payload.data(), &op_id, 8);
-  std::memcpy(payload.data() + 8, &at_seq, 8);
-  payload[16] = status;
-  if (len != 0) std::memcpy(payload.data() + 17, data, len);
-  enqueue(*conn, encode_frame(MsgType::kReadReply, epoch, payload.data(), payload.size()));
+  read_buf_.resize(kReadReplyHeader + len);  // keeps the data try_read left
+  std::memcpy(read_buf_.data(), &op_id, 8);
+  std::memcpy(read_buf_.data() + 8, &at_seq, 8);
+  read_buf_[16] = status;
+  enqueue(*conn, encode_frame(MsgType::kReadReply, epoch, read_buf_.data(), read_buf_.size()));
 }
 
 void AsyncServer::enqueue(Conn& conn, std::vector<std::uint8_t> frame) {

@@ -4,10 +4,9 @@
 // model for client traffic; replication between primary and backups keeps
 // its own (blocking, single-peer) transports.
 //
-// Client protocol (frames behind the same net/frame.hpp codec the
-// replication stream uses — 24-byte CRC'd header, identical corruption
-// rules: header-CRC failure closes the connection, payload-CRC failure
-// skips the frame):
+// Client protocol (frames with the net/frame.hpp header the replication
+// stream uses, under the same rules: a bad header closes the connection, a
+// bad payload skips the frame):
 //
 //   kClientCommit  u64 op_id | u64 key | op bytes      (client -> server)
 //   kCommitReply   u64 op_id | u64 seq | u8 outcome    (server -> client)
@@ -95,7 +94,6 @@ class AsyncServer {
 
   struct Options {
     int read_park_ms = 200;       // lagging-read patience before the bounce
-    int tick_ms = 1;              // parked-work retry cadence
     int accept_backoff_ms = 100;  // listen re-arm delay after fd exhaustion
   };
 
@@ -184,9 +182,10 @@ class AsyncServer {
   void tick();
   void send_commit_reply(std::uint64_t conn_id, std::uint64_t op_id, std::uint64_t epoch,
                          std::uint64_t seq, std::uint8_t outcome);
+  // The kReadReply payload is built in read_buf_: its `len` data bytes,
+  // if any, are already behind the header (try_read put them there).
   void send_read_reply(std::uint64_t conn_id, std::uint64_t op_id, std::uint64_t epoch,
-                       std::uint64_t at_seq, std::uint8_t status, const std::uint8_t* data,
-                       std::size_t len);
+                       std::uint64_t at_seq, std::uint8_t status, std::size_t len);
   void enqueue(Conn& conn, std::vector<std::uint8_t> frame);
   void flush_out(Conn& conn);
   // Tears the connection down (fd, epoll, by_fd_, gauges) but does NOT
@@ -217,7 +216,9 @@ class AsyncServer {
   std::chrono::steady_clock::time_point listen_rearm_at_{};
   std::vector<PendingCommit> pending_commits_;
   std::vector<ParkedRead> parked_reads_;
-  std::vector<std::uint8_t> read_buf_;  // scratch for replica reads
+  // kReadReply payloads: u64 op_id | u64 at_seq | u8 status, then the data.
+  static constexpr std::size_t kReadReplyHeader = 17;
+  std::vector<std::uint8_t> read_buf_;
   Stats stats_;
 };
 

@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "net/frame.hpp"
-#include "util/crc32.hpp"
 #include "util/metrics.hpp"
 
 namespace vrep::net {
@@ -40,35 +39,41 @@ void InprocTransport::close_peer() {
   }
 }
 
-bool InprocTransport::send_bytes(const void* bytes, std::size_t len) {
+bool InprocTransport::write_all(const void* head, std::size_t head_len, const void* tail,
+                                std::size_t tail_len) {
   if (!out_) return false;
   std::lock_guard<std::mutex> lock(out_->mu);
   if (out_->closed) {
     error_ = TransportError::kClosed;
     return false;
   }
-  out_->append(static_cast<const std::uint8_t*>(bytes), len);
+  out_->append(head, head_len, tail, tail_len);
   out_->cv.notify_all();
   return true;
 }
 
+bool InprocTransport::send_bytes(const void* bytes, std::size_t len) {
+  return write_all(bytes, len, nullptr, 0);
+}
+
 bool InprocTransport::send(MsgType type, std::uint64_t epoch, const void* payload,
                            std::size_t len) {
-  const auto frame = encode_frame(type, epoch, payload, len);
-  if (!send_bytes(frame.data(), frame.size())) return false;
-  static metrics::Counter& frames = metrics::counter("net.transport.frames_sent");
-  static metrics::Counter& bytes = metrics::counter("net.transport.bytes_sent");
-  frames.add(1);
-  bytes.add(frame.size());
+  const FrameHeader hdr = frame_header(type, epoch, payload, len);  // CRCs outside the lock
+  if (!write_all(&hdr, sizeof hdr, payload, len)) return false;
+  count_frame_sent(sizeof hdr + len);
   return true;
 }
 
-void InprocTransport::Stream::append(const std::uint8_t* p, std::size_t len) {
+void InprocTransport::Stream::append(const void* first, std::size_t first_len,
+                                     const void* second, std::size_t second_len) {
   // Drop the consumed prefix before the buffer would grow to keep it: the
   // move touches only unread bytes, and the buffer never outgrows the
   // backlog.
-  if (head != 0 && bytes.size() + len > bytes.capacity()) drop_consumed();
-  bytes.insert(bytes.end(), p, p + len);
+  if (head != 0 && bytes.size() + first_len + second_len > bytes.capacity()) drop_consumed();
+  const auto* a = static_cast<const std::uint8_t*>(first);
+  const auto* b = static_cast<const std::uint8_t*>(second);
+  bytes.insert(bytes.end(), a, a + first_len);
+  bytes.insert(bytes.end(), b, b + second_len);
 }
 
 void InprocTransport::Stream::consume(std::size_t n) {
@@ -95,7 +100,7 @@ std::optional<Message> InprocTransport::recv(int timeout_ms) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(timeout_ms < 0 ? 0 : timeout_ms);
   FrameHeader hdr{};
-  Message msg;
+  std::vector<std::uint8_t> payload;
   {
     // Consume nothing until the whole frame is buffered: a deadline that
     // expires part way leaves the stream exactly as it was, so the next call
@@ -109,24 +114,18 @@ std::optional<Message> InprocTransport::recv(int timeout_ms) {
       const std::size_t buffered = in_->bytes.size() - in_->head;
       if (frame_bytes == 0 && buffered >= sizeof hdr) {
         std::memcpy(&hdr, front, sizeof hdr);
-        if (frame_header_crc(hdr) != hdr.header_crc || hdr.len > kMaxFramePayload) {
-          // Same rule as TcpTransport: the length field cannot be trusted,
-          // framing is lost for good. Close so the protocol layer resyncs via
-          // rejoin; nothing buffered behind the bad header is parseable.
+        if (!header_ok(hdr)) {
+          // Nothing buffered behind a bad header is parseable.
           in_->bytes.clear();
           in_->head = 0;
           lock.unlock();
-          error_ = TransportError::kCorrupt;
-          metrics::counter("net.transport.corrupt_headers").add(1);
           close_peer();
-          return std::nullopt;
+          return corrupt_header(error_);
         }
         frame_bytes = sizeof hdr + hdr.len;
       }
       if (frame_bytes != 0 && buffered >= frame_bytes) {
-        msg.type = static_cast<MsgType>(hdr.type);
-        msg.epoch = hdr.epoch;
-        msg.payload.assign(front + sizeof hdr, front + frame_bytes);
+        payload.assign(front + sizeof hdr, front + frame_bytes);
         in_->consume(frame_bytes);
         break;
       }
@@ -149,17 +148,7 @@ std::optional<Message> InprocTransport::recv(int timeout_ms) {
       }
     }
   }
-  if (Crc32::of(msg.payload.data(), msg.payload.size()) != hdr.payload_crc) {
-    // Payload consumed in full: the stream stays aligned, skip in-band.
-    error_ = TransportError::kCorrupt;
-    metrics::counter("net.transport.corrupt_payloads").add(1);
-    return std::nullopt;
-  }
-  static metrics::Counter& frames = metrics::counter("net.transport.frames_received");
-  static metrics::Counter& bytes = metrics::counter("net.transport.bytes_received");
-  frames.add(1);
-  bytes.add(sizeof hdr + msg.payload.size());
-  return msg;
+  return deliver_frame(hdr, std::move(payload), error_);  // payload CRC outside the lock
 }
 
 }  // namespace vrep::net

@@ -4,15 +4,11 @@
 // a mutex/condvar-protected byte stream carrying the exact encoded frame
 // bytes of net/frame.hpp. Shipping *bytes* rather than decoded messages is
 // deliberate: the receiving endpoint re-parses the stream with the same
-// header-CRC / payload-CRC rules as TcpTransport, so fault injection
-// (bit-flips, torn frames via send_bytes) and the corrupt/closed error
-// semantics compose identically — only the copy through a socket is elided.
-//
-// Semantics mirror TcpTransport:
-//   * close_peer() closes both directions; the peer drains buffered bytes,
-//     then sees kClosed (like TCP delivering queued data before EOF).
-//   * a header-CRC failure closes the connection (framing lost for good);
-//     a payload-CRC failure skips the frame and stays connected.
+// frame rules as TcpTransport, so fault injection (bit-flips, torn frames
+// via send_bytes) and the corrupt/closed error semantics compose
+// identically; only the copy through a socket is elided. close_peer()
+// closes both directions; the peer drains buffered bytes, then sees kClosed
+// (like TCP delivering queued data before EOF).
 //
 // Useful for single-process failover tests and the cross-backend conformance
 // suite, where spawning real sockets adds latency and flakiness for no
@@ -57,15 +53,20 @@ class InprocTransport final : public Transport {
     std::size_t head = 0;  // read offset: bytes before it are consumed
     bool closed = false;
 
-    // Append behind the unread bytes, dropping the consumed prefix first
-    // when the buffer would otherwise grow to keep it.
-    void append(const std::uint8_t* p, std::size_t len);
+    // Append both ranges behind the unread bytes, dropping the consumed
+    // prefix first when the buffer would otherwise grow to keep it.
+    void append(const void* first, std::size_t first_len, const void* second,
+                std::size_t second_len);
     // Consume `n` bytes at the read offset. The offset returns to 0 whenever
     // the buffer drains; the consumed prefix is erased once it passes half
     // the buffer, so a backlog costs amortized O(1) per frame.
     void consume(std::size_t n);
     void drop_consumed();
   };
+
+  // Appends both byte ranges to the outbound stream under one lock.
+  bool write_all(const void* head, std::size_t head_len, const void* tail,
+                 std::size_t tail_len);
 
   std::shared_ptr<Stream> in_;   // peer writes, we read
   std::shared_ptr<Stream> out_;  // we write, peer reads

@@ -17,11 +17,79 @@
 #include <limits>
 
 #include "net/frame.hpp"
-#include "util/check.hpp"
-#include "util/crc32.hpp"
 #include "util/metrics.hpp"
 
 namespace vrep::net {
+
+namespace {
+
+using Deadline = std::optional<std::chrono::steady_clock::time_point>;
+
+Deadline deadline_after(int timeout_ms) {
+  if (timeout_ms < 0) return std::nullopt;
+  return std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
+}
+
+// The poll() timeout left before `deadline`, rounded up to whole
+// milliseconds; -1 waits forever. An expired deadline still polls once at
+// zero: recv(timeout_ms=0) is the non-blocking ack-drain idiom and must
+// deliver data that has already arrived.
+int poll_timeout(const Deadline& deadline) {
+  if (!deadline.has_value()) return -1;
+  const auto left =
+      std::chrono::ceil<std::chrono::milliseconds>(*deadline - std::chrono::steady_clock::now())
+          .count();
+  return static_cast<int>(std::clamp<long long>(left, 0, std::numeric_limits<int>::max()));
+}
+
+}  // namespace
+
+void count_frame_sent(std::size_t frame_bytes) {
+  static metrics::Counter& frames = metrics::counter("net.transport.frames_sent");
+  static metrics::Counter& bytes = metrics::counter("net.transport.bytes_sent");
+  frames.add(1);
+  bytes.add(frame_bytes);
+}
+
+std::nullopt_t corrupt_header(TransportError& error) {
+  error = TransportError::kCorrupt;
+  metrics::counter("net.transport.corrupt_headers").add(1);
+  return std::nullopt;
+}
+
+std::optional<Message> deliver_frame(const FrameHeader& hdr, std::vector<std::uint8_t> payload,
+                                     TransportError& error) {
+  if (!payload_ok(hdr, payload.data())) {
+    error = TransportError::kCorrupt;
+    metrics::counter("net.transport.corrupt_payloads").add(1);
+    return std::nullopt;
+  }
+  static metrics::Counter& frames = metrics::counter("net.transport.frames_received");
+  static metrics::Counter& bytes = metrics::counter("net.transport.bytes_received");
+  frames.add(1);
+  bytes.add(sizeof hdr + payload.size());
+  return Message{static_cast<MsgType>(hdr.type), hdr.epoch, std::move(payload)};
+}
+
+int listen_loopback(std::uint16_t port, int backlog, std::uint16_t& bound_port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
+  if (fd < 0) return -1;
+  const int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  socklen_t len = sizeof addr;
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0 ||
+      ::listen(fd, backlog) != 0 ||
+      ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  bound_port = ntohs(addr.sin_port);
+  return fd;
+}
 
 TcpTransport::~TcpTransport() {
   close_peer();
@@ -62,20 +130,8 @@ void TcpTransport::close_peer() {
 }
 
 bool TcpTransport::listen(std::uint16_t port) {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) return false;
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) return false;
-  if (::listen(listen_fd_, 1) != 0) return false;
-  socklen_t len = sizeof addr;
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) != 0) return false;
-  port_ = ntohs(addr.sin_port);
-  return true;
+  listen_fd_ = listen_loopback(port, /*backlog=*/1, port_);
+  return listen_fd_ >= 0;
 }
 
 bool TcpTransport::accept_peer(int timeout_ms) {
@@ -83,28 +139,15 @@ bool TcpTransport::accept_peer(int timeout_ms) {
   // One absolute deadline for the whole accept (the same pattern read_fully
   // uses): an EINTR — poll() or accept() interrupted by a signal — retries
   // against the remaining budget instead of being misreported as a timeout.
-  std::optional<std::chrono::steady_clock::time_point> deadline;
-  if (timeout_ms >= 0) {
-    deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
-  }
+  const Deadline deadline = deadline_after(timeout_ms);
   for (;;) {
-    int wait_ms = -1;
-    if (deadline.has_value()) {
-      const auto left = std::chrono::ceil<std::chrono::milliseconds>(
-                            *deadline - std::chrono::steady_clock::now())
-                            .count();
-      wait_ms = static_cast<int>(
-          std::clamp<long long>(left, 0, std::numeric_limits<int>::max()));
-    }
     pollfd pfd{listen_fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, wait_ms);
-    if (ready == 0) {
-      error_ = TransportError::kTimeout;  // only a genuinely silent socket is a timeout
-      return false;
-    }
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      error_ = TransportError::kClosed;  // real poll failure, distinct from kTimeout
+    const int ready = ::poll(&pfd, 1, poll_timeout(deadline));
+    if (ready < 0 && errno == EINTR) continue;
+    if (ready <= 0) {
+      // Only a genuinely silent socket is a timeout; a real poll failure
+      // is kClosed.
+      error_ = ready == 0 ? TransportError::kTimeout : TransportError::kClosed;
       return false;
     }
     fd_ = ::accept(listen_fd_, nullptr, nullptr);
@@ -131,8 +174,7 @@ bool TcpTransport::connect_to(const std::string& host, std::uint16_t port, int t
   // NON-BLOCKING connect polled against the remaining budget — a blocking
   // ::connect() would sit in the kernel's SYN retransmit schedule for
   // minutes regardless of any deadline around the loop.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(std::max(timeout_ms, 0));
+  const Deadline deadline = deadline_after(std::max(timeout_ms, 0));
   for (;;) {
     fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
     if (fd_ < 0) return false;
@@ -145,26 +187,13 @@ bool TcpTransport::connect_to(const std::string& host, std::uint16_t port, int t
       // Handshake in flight: wait for writability within the budget, then
       // read the outcome from SO_ERROR.
       for (;;) {
-        const auto left = std::chrono::ceil<std::chrono::milliseconds>(
-                              deadline - std::chrono::steady_clock::now())
-                              .count();
-        if (left <= 0) {
-          close_peer();
-          error_ = TransportError::kTimeout;
-          return false;
-        }
+        const int wait_ms = poll_timeout(deadline);
         pollfd pfd{fd_, POLLOUT, 0};
-        const int ready = ::poll(&pfd, 1, static_cast<int>(std::clamp<long long>(
-                                              left, 0, std::numeric_limits<int>::max())));
-        if (ready < 0) {
-          if (errno == EINTR) continue;
+        const int ready = wait_ms == 0 ? 0 : ::poll(&pfd, 1, wait_ms);
+        if (ready < 0 && errno == EINTR) continue;
+        if (ready <= 0) {  // budget spent mid-handshake (blackholed peer), or poll failed
           close_peer();
-          error_ = TransportError::kClosed;
-          return false;
-        }
-        if (ready == 0) {  // budget spent mid-handshake (blackholed peer)
-          close_peer();
-          error_ = TransportError::kTimeout;
+          error_ = ready == 0 ? TransportError::kTimeout : TransportError::kClosed;
           return false;
         }
         int so_error = 0;
@@ -187,7 +216,7 @@ bool TcpTransport::connect_to(const std::string& host, std::uint16_t port, int t
     }
     ::close(fd_);
     fd_ = -1;
-    const auto left = deadline - std::chrono::steady_clock::now();
+    const auto left = *deadline - std::chrono::steady_clock::now();
     if (left <= std::chrono::milliseconds::zero()) break;
     // The server may not be listening yet; retry until the deadline, never
     // sleeping past it.
@@ -200,118 +229,68 @@ bool TcpTransport::connect_to(const std::string& host, std::uint16_t port, int t
   return false;
 }
 
-bool TcpTransport::send_bytes(const void* bytes, std::size_t len) {
+bool TcpTransport::write_all(const void* head, std::size_t head_len, const void* tail,
+                             std::size_t tail_len) {
   if (fd_ < 0) return false;
-  const auto* p = static_cast<const std::uint8_t*>(bytes);
-  std::size_t sent = 0;
-  while (sent < len) {
-    const ssize_t wrote = ::send(fd_, p + sent, len - sent, MSG_NOSIGNAL);
-    if (wrote < 0) {
-      if (errno == EINTR) continue;
+  iovec iov[2] = {{const_cast<void*>(head), head_len}, {const_cast<void*>(tail), tail_len}};
+  iovec* cur = iov;
+  std::size_t parts = 2;
+  for (;;) {
+    while (parts > 0 && cur->iov_len == 0) ++cur, --parts;  // already sent
+    if (parts == 0) return true;
+    msghdr msg{};
+    msg.msg_iov = cur;
+    msg.msg_iovlen = parts;
+    const ssize_t wrote = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
+    if (wrote < 0 && errno == EINTR) continue;
+    if (wrote <= 0) {
+      // A zero return means the peer closed. errno is stale then and must
+      // not be consulted: a leftover EINTR would spin this loop forever.
       error_ = TransportError::kClosed;
       return false;
     }
-    if (wrote == 0) {
-      // Peer closed. errno is stale here and must not be consulted — a
-      // leftover EINTR from an earlier call would spin this loop forever.
-      error_ = TransportError::kClosed;
-      return false;
+    for (auto left = static_cast<std::size_t>(wrote); left > 0;) {
+      const std::size_t part = std::min(left, cur->iov_len);
+      cur->iov_base = static_cast<std::uint8_t*>(cur->iov_base) + part;
+      cur->iov_len -= part;
+      left -= part;
+      if (cur->iov_len == 0) ++cur, --parts;
     }
-    sent += static_cast<std::size_t>(wrote);
   }
-  return true;
+}
+
+bool TcpTransport::send_bytes(const void* bytes, std::size_t len) {
+  return write_all(bytes, len, nullptr, 0);
 }
 
 bool TcpTransport::send(MsgType type, std::uint64_t epoch, const void* payload,
                         std::size_t len) {
-  // Mirror the receive-side frame bound: hdr.len is u32, so a larger payload
-  // would silently truncate and corrupt framing at the receiver. Checked
-  // before any socket state so callers hit it deterministically.
-  VREP_CHECK(len <= kMaxFramePayload);
-  if (fd_ < 0) return false;
-  FrameHeader hdr{};
-  hdr.epoch = epoch;
-  hdr.len = static_cast<std::uint32_t>(len);
-  hdr.type = static_cast<std::uint8_t>(type);
-  hdr.payload_crc = Crc32::of(payload, len);
-  hdr.header_crc = frame_header_crc(hdr);
-  iovec iov[2] = {{&hdr, sizeof hdr}, {const_cast<void*>(payload), len}};
-  std::size_t total = sizeof hdr + len;
-  std::size_t sent = 0;
-  while (sent < total) {
-    msghdr msg{};
-    // Advance the iovec past what has been sent.
-    iovec cur[2];
-    int n = 0;
-    std::size_t skip = sent;
-    for (auto& part : iov) {
-      if (skip >= part.iov_len) {
-        skip -= part.iov_len;
-        continue;
-      }
-      cur[n].iov_base = static_cast<std::uint8_t*>(part.iov_base) + skip;
-      cur[n].iov_len = part.iov_len - skip;
-      skip = 0;
-      ++n;
-    }
-    msg.msg_iov = cur;
-    msg.msg_iovlen = static_cast<std::size_t>(n);
-    const ssize_t wrote = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
-    if (wrote < 0) {
-      if (errno == EINTR) continue;
-      error_ = TransportError::kClosed;
-      return false;
-    }
-    if (wrote == 0) {
-      // Peer closed; errno is stale for a zero return (see send_bytes).
-      error_ = TransportError::kClosed;
-      return false;
-    }
-    sent += static_cast<std::size_t>(wrote);
-  }
-  static metrics::Counter& frames = metrics::counter("net.transport.frames_sent");
-  static metrics::Counter& bytes = metrics::counter("net.transport.bytes_sent");
-  frames.add(1);
-  bytes.add(total);
+  // frame_header() CHECKs the frame bound before any socket state, so
+  // callers hit it deterministically.
+  const FrameHeader hdr = frame_header(type, epoch, payload, len);
+  if (!write_all(&hdr, sizeof hdr, payload, len)) return false;
+  count_frame_sent(sizeof hdr + len);
   return true;
 }
 
 bool TcpTransport::read_fully(void* buf, std::size_t len, std::size_t& got,
-                              const std::optional<std::chrono::steady_clock::time_point>& deadline) {
+                              const Deadline& deadline) {
   auto* p = static_cast<std::uint8_t*>(buf);
   while (got < len) {
     // Budget against one absolute deadline shared by every poll of this
     // recv(): a peer trickling one byte per window can no longer restart
-    // the timeout with each byte and stall the receiver forever.
-    int wait_ms = -1;
-    if (deadline.has_value()) {
-      const auto left = std::chrono::ceil<std::chrono::milliseconds>(
-                            *deadline - std::chrono::steady_clock::now())
-                            .count();
-      // An expired budget still polls once at zero: recv(timeout_ms=0) is
-      // the non-blocking ack-drain idiom and must deliver data that has
-      // already arrived. Only an actually-unready socket is a timeout.
-      wait_ms = static_cast<int>(
-          std::clamp<long long>(left, 0, std::numeric_limits<int>::max()));
-    }
+    // the timeout with each byte and stall the receiver forever. Only an
+    // actually-unready socket is a timeout.
     pollfd pfd{fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, wait_ms);
-    if (ready == 0) {
-      error_ = TransportError::kTimeout;
-      return false;
-    }
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      error_ = TransportError::kClosed;
+    const int ready = ::poll(&pfd, 1, poll_timeout(deadline));
+    if (ready < 0 && errno == EINTR) continue;
+    if (ready <= 0) {
+      error_ = ready == 0 ? TransportError::kTimeout : TransportError::kClosed;
       return false;
     }
     const ssize_t n = ::read(fd_, p + got, len - got);
-    if (n == 0) {
-      error_ = TransportError::kClosed;
-      return false;
-    }
-    if (n < 0) {
-      if (errno == EINTR) continue;
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {  // EOF, or a broken connection
       error_ = TransportError::kClosed;
       return false;
     }
@@ -323,11 +302,8 @@ bool TcpTransport::read_fully(void* buf, std::size_t len, std::size_t& got,
 std::optional<Message> TcpTransport::recv(int timeout_ms) {
   error_ = TransportError::kNone;
   // One overall deadline for this call's share of the frame (header +
-  // payload); -1 waits forever, as before.
-  std::optional<std::chrono::steady_clock::time_point> deadline;
-  if (timeout_ms >= 0) {
-    deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
-  }
+  // payload); -1 waits forever.
+  const Deadline deadline = deadline_after(timeout_ms);
   // A frame an earlier call's deadline cut short resumes where it stopped:
   // dropping the bytes already read would make the next call parse payload
   // as a header.
@@ -336,13 +312,9 @@ std::optional<Message> TcpTransport::recv(int timeout_ms) {
   if (rx_hdr_got_ < sizeof hdr) {
     if (!read_fully(rx_hdr_, sizeof hdr, rx_hdr_got_, deadline)) return std::nullopt;
     std::memcpy(&hdr, rx_hdr_, sizeof hdr);
-    if (frame_header_crc(hdr) != hdr.header_crc || hdr.len > kMaxFramePayload) {
-      // The length field cannot be trusted: framing is lost for good. Close
-      // so the peer reconnects and the protocol layer resyncs via rejoin.
-      error_ = TransportError::kCorrupt;
-      metrics::counter("net.transport.corrupt_headers").add(1);
-      close_peer();
-      return std::nullopt;
+    if (!header_ok(hdr)) {
+      close_peer();  // the peer reconnects and the protocol layer rejoins
+      return corrupt_header(error_);
     }
     rx_payload_.resize(hdr.len);
     rx_payload_got_ = 0;
@@ -351,19 +323,7 @@ std::optional<Message> TcpTransport::recv(int timeout_ms) {
   }
   if (!read_fully(rx_payload_.data(), hdr.len, rx_payload_got_, deadline)) return std::nullopt;
   rx_hdr_got_ = 0;  // frame complete: the next call starts a new one
-  Message msg{static_cast<MsgType>(hdr.type), hdr.epoch, std::move(rx_payload_)};
-  if (Crc32::of(msg.payload.data(), msg.payload.size()) != hdr.payload_crc) {
-    // Payload bytes were consumed in full, so the stream stays aligned; the
-    // receiver may skip this frame and resynchronise in-band.
-    error_ = TransportError::kCorrupt;
-    metrics::counter("net.transport.corrupt_payloads").add(1);
-    return std::nullopt;
-  }
-  static metrics::Counter& frames = metrics::counter("net.transport.frames_received");
-  static metrics::Counter& bytes = metrics::counter("net.transport.bytes_received");
-  frames.add(1);
-  bytes.add(sizeof hdr + msg.payload.size());
-  return msg;
+  return deliver_frame(hdr, std::move(rx_payload_), error_);
 }
 
 }  // namespace vrep::net

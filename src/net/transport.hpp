@@ -1,25 +1,8 @@
-// Byte-stream transport with message framing, used to emulate the SAN's
-// write-through channel over TCP (per DESIGN.md: we have no Memory Channel
-// hardware, so the two-process deployment ships the same redo packet stream
-// over a socket).
-//
-// Frame format (24-byte header, then payload):
-//   [u64 epoch | u32 payload_len | u32 payload_crc | u32 header_crc |
-//    u8 type | u8 pad[3]] payload
-//
-// Every frame carries the sender's membership epoch so the protocol layer
-// can fence stale-epoch traffic (split-brain defense; see
-// cluster/membership.hpp). Two CRCs split corruption into recoverable and
-// fatal classes:
-//   * header_crc (over epoch, payload_len, type): if it fails, payload_len
-//     cannot be trusted and stream framing is lost — the transport closes
-//     the connection (TransportError::kCorrupt, then disconnected).
-//     Recovery is a reconnect + rejoin.
-//   * payload_crc: if it fails the frame was read in full, so the stream
-//     stays aligned — the receiver can skip the frame and resynchronise
-//     in-band (TransportError::kCorrupt, still connected).
-// CRC verification also makes torn frames (killed sender) detectable,
-// mirroring the simulated ring's checksummed commit markers.
+// Framed single-peer message transports. A Transport carries whole frames
+// (layout and corruption rules in net/frame.hpp). TcpTransport emulates the
+// SAN's write-through channel over TCP (per DESIGN.md: we have no Memory
+// Channel hardware, so the two-process deployment ships the same redo
+// packet stream over a socket).
 #pragma once
 
 #include <chrono>
@@ -91,6 +74,11 @@ class Transport {
   virtual bool send_bytes(const void* bytes, std::size_t len) = 0;
 };
 
+// A non-blocking socket listening on 127.0.0.1:port (0 = ephemeral) with
+// room for `backlog` pending connections; stores the bound port in
+// `bound_port`. Returns -1 on failure.
+int listen_loopback(std::uint16_t port, int backlog, std::uint16_t& bound_port);
+
 // Blocking, single-peer TCP transport. Deliberately minimal: the examples
 // and integration tests run primary and backup as two local processes.
 class TcpTransport final : public Transport {
@@ -120,6 +108,9 @@ class TcpTransport final : public Transport {
   bool send_bytes(const void* bytes, std::size_t len) override;
 
  private:
+  // The one blocking write loop: both byte ranges, in order, in full.
+  bool write_all(const void* head, std::size_t head_len, const void* tail,
+                 std::size_t tail_len);
   // Read until `got` reaches `len`, honoring one absolute deadline (nullopt
   // = wait forever). `got` keeps the progress when the deadline expires, so
   // a later call resumes the same read. recv() shares one deadline between

@@ -132,10 +132,7 @@ void RedoPipeline::probe(PeerSlot& peer) {
   }
 }
 
-void RedoPipeline::begin() {
-  batch_begin(batch_);
-  if (ckpt_enabled_) staged_spans_.clear();
-}
+void RedoPipeline::begin() { batch_begin(batch_); }
 
 void RedoPipeline::stage(std::uint64_t off, const void* src, std::size_t len) {
   // Offsets and lengths are u32 on the wire (see repl/codec.hpp): a silent
@@ -144,13 +141,9 @@ void RedoPipeline::stage(std::uint64_t off, const void* src, std::size_t len) {
   VREP_CHECK(off + std::uint64_t{len} <= (std::uint64_t{1} << 32) &&
              "redo chunk exceeds the u32 batch wire format (4 GiB)");
   batch_append(batch_, static_cast<std::uint32_t>(off), src, len);
-  if (ckpt_enabled_) staged_spans_.emplace_back(off, static_cast<std::uint32_t>(len));
 }
 
-void RedoPipeline::discard() {
-  batch_.clear();
-  if (ckpt_enabled_) staged_spans_.clear();
-}
+void RedoPipeline::discard() { batch_.clear(); }
 
 void RedoPipeline::fence(std::uint64_t newer_epoch) {
   fenced_ = true;
@@ -325,18 +318,16 @@ void RedoPipeline::enable_checkpoints(std::uint64_t interval_txns,
 }
 
 void RedoPipeline::step_checkpoint(std::uint64_t seq) {
-  // Dirty-page accounting first, so a completion below snapshots a table
-  // that already includes this commit's writes.
-  for (const auto& [off, len] : staged_spans_) {
-    const std::size_t first = off / kCkptPageBytes;
-    const std::size_t last = (off + len - 1) / kCkptPageBytes;
+  // batch_ still holds this commit's chunks. Dirty-page accounting first, so
+  // a completion below snapshots a table that already includes its writes.
+  RedoChunk chunk;
+  for (BatchReader chunks(batch_.data(), batch_.size()); chunks.next(&chunk);) {
+    const std::size_t first = chunk.db_off / kCkptPageBytes;
+    const std::size_t last = (chunk.db_off + chunk.len - 1) / kCkptPageBytes;
     for (std::size_t p = first; p <= last; ++p) page_seq_[p] = seq;
   }
   if (!ckpt_building_) {
-    if (seq < ckpt_anchor_ + ckpt_interval_) {
-      staged_spans_.clear();
-      return;
-    }
+    if (seq < ckpt_anchor_ + ckpt_interval_) return;
     ckpt_building_ = true;
     ckpt_build_.resize(source_.db_size());
     ckpt_snap_.reset(source_.db(), source_.db_size());
@@ -346,14 +337,13 @@ void RedoPipeline::step_checkpoint(std::uint64_t seq) {
   // are patched into the build immediately — so when the cursor reaches the
   // end at commit S, the build equals the database image at exactly S.
   const std::uint8_t* db = source_.db();
-  for (const auto& [off, len] : staged_spans_) {
-    if (off >= ckpt_snap_.offset()) continue;
-    const std::size_t patch = std::min<std::size_t>(len, ckpt_snap_.offset() - off);
-    std::memcpy(ckpt_build_.data() + off, db + off, patch);
+  for (BatchReader chunks(batch_.data(), batch_.size()); chunks.next(&chunk);) {
+    if (chunk.db_off >= ckpt_snap_.offset()) continue;
+    const std::size_t patch = std::min<std::size_t>(chunk.len, ckpt_snap_.offset() - chunk.db_off);
+    std::memcpy(ckpt_build_.data() + chunk.db_off, db + chunk.db_off, patch);
   }
   ckpt_snap_.step(ckpt_build_.data(), ckpt_copy_bytes_);
   if (ckpt_snap_.done()) complete_checkpoint(seq);
-  staged_spans_.clear();
 }
 
 void RedoPipeline::complete_checkpoint(std::uint64_t seq) {

@@ -420,7 +420,6 @@ class RedoPipeline {
   Checkpoint ckpt_;
   std::vector<std::uint64_t> page_seq_;       // last commit seq dirtying each page
   std::vector<std::uint64_t> ckpt_page_seq_;  // page_seq_ snapshot at completion
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> staged_spans_;  // this txn
 };
 
 }  // namespace vrep::repl

@@ -13,7 +13,7 @@
 // per-frame paths, not per-byte ones. The recommended call-site pattern is
 // a function-local static reference:
 //
-//   static metrics::Counter& c = metrics::counter("net.transport.frames_sent");
+//   static metrics::Counter& c = metrics::counter("repl.primary.quorum_scans");
 //   c.add(1);
 //
 // which resolves the name exactly once per process. References stay valid

@@ -1,20 +1,17 @@
-// The shard layer: hash-range map + router, the 2PC decision log, shard-id
-// frame routing (net/shard_mux), and the partitioned multi-primary cluster —
-// randomized multi-seed cross-shard conformance against a fault-free oracle,
-// including kill-one-shard's-primary chaos at every 2PC stage, and a
-// threaded cross-shard commit hammer (the TSan preset's second subject).
+// The shard layer: hash-range map + router, the 2PC decision log, and the
+// partitioned multi-primary cluster — randomized multi-seed cross-shard
+// conformance against a fault-free oracle, including kill-one-shard's-primary
+// chaos at every 2PC stage, and a threaded cross-shard commit hammer (the
+// TSan preset's second subject).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstring>
-#include <deque>
 #include <optional>
 #include <thread>
 #include <vector>
 
-#include "net/shard_mux.hpp"
 #include "shard/decision_log.hpp"
 #include "shard/shard_map.hpp"
 #include "shard/sharded_cluster.hpp"
@@ -195,180 +192,6 @@ TEST(DecisionLog, XidsEncodeTheirHomeShard) {
   EXPECT_NE(a, b);
   EXPECT_EQ(shard::xid_home(a), 2u);
   EXPECT_EQ(shard::xid_home(b), 0u);
-}
-
-// ---- net/shard_mux ----------------------------------------------------------
-
-// A loopback carrier: everything sent comes back on recv (what the other
-// side of a real transport would deliver).
-class LoopCarrier final : public repl::ReplicationLink {
- public:
-  bool send(repl::FrameKind kind, std::uint64_t epoch, const void* payload,
-            std::size_t len) override {
-    const auto* p = static_cast<const std::uint8_t*>(payload);
-    inbound.push_back(repl::Frame{kind, epoch, std::vector<std::uint8_t>(p, p + len)});
-    return true;
-  }
-  std::optional<repl::Frame> recv(int) override {
-    if (inbound.empty()) {
-      err_ = repl::LinkError::kTimeout;
-      return std::nullopt;
-    }
-    repl::Frame f = std::move(inbound.front());
-    inbound.pop_front();
-    err_ = repl::LinkError::kNone;
-    return f;
-  }
-  repl::LinkError last_error() const override { return err_; }
-  bool connected() const override { return true; }
-
-  std::deque<repl::Frame> inbound;
-
- private:
-  repl::LinkError err_ = repl::LinkError::kNone;
-};
-
-TEST(ShardMux, RoutesInterleavedFramesByShardId) {
-  LoopCarrier carrier;
-  net::ShardChannel channel(&carrier);
-  repl::ReplicationLink& lane2 = channel.lane(2);
-  repl::ReplicationLink& lane7 = channel.lane(7);
-
-  // Interleave sends from both lanes; each frame's kind/epoch stay its own.
-  const std::uint8_t a[4] = {0xa, 0xa, 0xa, 0xa};
-  const std::uint8_t b[4] = {0xb, 0xb, 0xb, 0xb};
-  ASSERT_TRUE(lane2.send(repl::FrameKind::kRedoBatch, 5, a, sizeof a));
-  ASSERT_TRUE(lane7.send(repl::FrameKind::kHeartbeat, 9, b, sizeof b));
-  ASSERT_TRUE(lane2.send(repl::FrameKind::kConsumerAck, 5, b, sizeof b));
-
-  // lane 7's recv pumps past lane 2's frames (parking them) to its own.
-  std::optional<repl::Frame> f7 = lane7.recv(0);
-  ASSERT_TRUE(f7.has_value());
-  EXPECT_EQ(f7->kind, repl::FrameKind::kHeartbeat);
-  EXPECT_EQ(f7->epoch, 9u);
-  EXPECT_EQ(f7->payload, std::vector<std::uint8_t>(b, b + 4));
-
-  // lane 2 then drains its parked frames in order.
-  std::optional<repl::Frame> f2 = lane2.recv(0);
-  ASSERT_TRUE(f2.has_value());
-  EXPECT_EQ(f2->kind, repl::FrameKind::kRedoBatch);
-  EXPECT_EQ(f2->payload, std::vector<std::uint8_t>(a, a + 4));
-  f2 = lane2.recv(0);
-  ASSERT_TRUE(f2.has_value());
-  EXPECT_EQ(f2->kind, repl::FrameKind::kConsumerAck);
-  EXPECT_FALSE(lane2.recv(0).has_value()) << "no third frame for shard 2";
-  EXPECT_EQ(lane2.last_error(), repl::LinkError::kTimeout);
-  EXPECT_EQ(channel.unroutable(), 0u);
-}
-
-TEST(ShardMux, FramesForUnknownShardsAreCountedNotFatal) {
-  LoopCarrier carrier;
-  net::ShardChannel channel(&carrier);
-  repl::ReplicationLink& lane0 = channel.lane(0);
-
-  // A frame for shard 3 (no lane) and a runt frame (no envelope).
-  const std::uint32_t three = 3;
-  std::vector<std::uint8_t> wrapped(4 + 2, 0);
-  std::memcpy(wrapped.data(), &three, 4);
-  carrier.inbound.push_back(
-      repl::Frame{repl::FrameKind::kHeartbeat, 1, wrapped});
-  carrier.inbound.push_back(
-      repl::Frame{repl::FrameKind::kHeartbeat, 1, std::vector<std::uint8_t>(2, 0)});
-  const std::uint8_t payload[1] = {0x5};
-  ASSERT_TRUE(lane0.send(repl::FrameKind::kRedoBatch, 1, payload, 1));
-
-  std::optional<repl::Frame> f = lane0.recv(0);
-  ASSERT_TRUE(f.has_value());
-  EXPECT_EQ(f->kind, repl::FrameKind::kRedoBatch);
-  EXPECT_EQ(channel.unroutable(), 2u);
-}
-
-TEST(ShardMux, StalledLaneInboxIsBoundedAndDropsAreCounted) {
-  LoopCarrier carrier;
-  net::ShardChannel channel(&carrier);
-  repl::ReplicationLink& live = channel.lane(1);
-  channel.lane(2);  // opened but never drained: the stalled lane
-  channel.set_inbox_capacity(8);
-  ASSERT_EQ(channel.inbox_capacity(), 8u);
-
-  // Skewed traffic: a flood for the stalled lane, one frame for the live
-  // one behind it. Pumping the live lane's recv must park at most
-  // capacity frames for lane 2 and drop (not queue) the rest.
-  repl::ReplicationLink& stalled = channel.lane(2);
-  const std::uint8_t byte = 0x5;
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(stalled.send(repl::FrameKind::kHeartbeat, 1, &byte, 1));
-  }
-  ASSERT_TRUE(live.send(repl::FrameKind::kRedoBatch, 1, &byte, 1));
-
-  std::optional<repl::Frame> f = live.recv(0);
-  ASSERT_TRUE(f.has_value());
-  EXPECT_EQ(f->kind, repl::FrameKind::kRedoBatch);
-  EXPECT_EQ(channel.inbox_dropped(), 92u) << "100 parked minus capacity 8";
-  EXPECT_EQ(channel.inbox_highwater(), 8u);
-
-  // The stalled lane still drains the frames that fit, then sees the gap
-  // as an ordinary empty carrier (its protocol engine resyncs in-band).
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_TRUE(stalled.recv(0).has_value()) << "parked frame " << i;
-  }
-  EXPECT_FALSE(stalled.recv(0).has_value());
-
-  // Draining freed space: new traffic parks again instead of dropping.
-  ASSERT_TRUE(stalled.send(repl::FrameKind::kHeartbeat, 1, &byte, 1));
-  ASSERT_TRUE(live.send(repl::FrameKind::kRedoBatch, 1, &byte, 1));
-  ASSERT_TRUE(live.recv(0).has_value());
-  EXPECT_TRUE(stalled.recv(0).has_value());
-  EXPECT_EQ(channel.inbox_dropped(), 92u) << "no new drops after the drain";
-}
-
-// A carrier on which a frame for `lane` arrives every 20 ms, `frames` times,
-// after which it falls silent. recv waits for the next arrival within its
-// timeout, like a real transport.
-class PacedCarrier final : public repl::ReplicationLink {
- public:
-  PacedCarrier(std::uint32_t lane, int frames) : lane_(lane), frames_(frames) {}
-  bool send(repl::FrameKind, std::uint64_t, const void*, std::size_t) override { return true; }
-  std::optional<repl::Frame> recv(int timeout_ms) override {
-    constexpr int kPaceMs = 20;
-    if (frames_ == 0 || (timeout_ms >= 0 && timeout_ms < kPaceMs)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(std::max(timeout_ms, 0)));
-      err_ = repl::LinkError::kTimeout;
-      return std::nullopt;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(kPaceMs));
-    frames_--;
-    err_ = repl::LinkError::kNone;
-    std::vector<std::uint8_t> wrapped(net::ShardChannel::kEnvelopeBytes);
-    std::memcpy(wrapped.data(), &lane_, sizeof lane_);
-    return repl::Frame{repl::FrameKind::kHeartbeat, 1, std::move(wrapped)};
-  }
-  repl::LinkError last_error() const override { return err_; }
-  bool connected() const override { return true; }
-
- private:
-  std::uint32_t lane_;
-  int frames_;
-  repl::LinkError err_ = repl::LinkError::kNone;
-};
-
-TEST(ShardMux, LaneRecvHonoursOneDeadlineAcrossNeighbourFrames) {
-  // Regression: recv_for handed the full timeout to every carrier recv, so
-  // each frame parked for a neighbour lane restarted the wait — 50 neighbour
-  // frames 20 ms apart held a 100 ms recv for over a second.
-  PacedCarrier carrier(/*lane=*/7, /*frames=*/50);
-  net::ShardChannel channel(&carrier);
-  repl::ReplicationLink& mine = channel.lane(2);
-  repl::ReplicationLink& neighbour = channel.lane(7);
-
-  const auto t0 = std::chrono::steady_clock::now();
-  EXPECT_FALSE(mine.recv(100).has_value());
-  const auto elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count();
-  EXPECT_EQ(mine.last_error(), repl::LinkError::kTimeout);
-  EXPECT_LT(elapsed_ms, 500) << "the neighbour's frames extended a 100 ms recv";
-  EXPECT_TRUE(neighbour.recv(0).has_value()) << "frames that arrived meanwhile stay parked";
 }
 
 // ---- cross-shard conformance vs a fault-free oracle -------------------------
